@@ -16,7 +16,6 @@
 #include "core/HeapModeler.h"
 #include "core/NFA.h"
 #include "pta/PointerAnalysis.h"
-#include "support/ChunkInterner.h"
 #include "support/DisjointSets.h"
 #include "support/PointsToSet.h"
 #include "workload/BenchmarkPrograms.h"
@@ -85,65 +84,23 @@ std::pair<PointsToSet, PointsToSet> skewedSets(uint32_t N, uint32_t Skew) {
 
 } // namespace
 
-// Backend axis for the skewed benches: 0 = chunked (owned storage, plain
-// merge), 1 = mde-frozen (the delta is a shared block; empty targets
-// adopt by refcount bump), 2 = mde-memoized (both operands are interned
-// blocks and the union goes through the ChunkInterner memo — the MDE
-// backend's repeated-pair fast path).
 static void BM_PointsToSetUnionSkewed(benchmark::State &State) {
   auto [A, B] = skewedSets(static_cast<uint32_t>(State.range(0)),
                            static_cast<uint32_t>(State.range(1)));
-  const int Backend = static_cast<int>(State.range(2));
-  ChunkInterner IC;
-  if (Backend >= 1)
-    B.freeze();
-  if (Backend == 2) {
-    A.adopt(IC.intern(A));
-    B.adopt(IC.intern(B));
-  }
   for (auto _ : State) {
-    PointsToSet S = A; // frozen A: refcount bump, not a chunk copy
-    if (Backend == 2 && S.isShared() && B.isShared()) {
-      bool Changed = false;
-      if (const ChunkInterner::BlockRef *Res =
-              IC.memoLookup(S.block().get(), B.block().get(), Changed)) {
-        if (Changed)
-          S.adopt(*Res);
-      } else {
-        PointsToSet Merged = S;
-        Changed = Merged.unionWith(B);
-        ChunkInterner::BlockRef R = Changed ? IC.intern(Merged) : S.block();
-        IC.memoStore(S.block(), B.block(), R, Changed);
-        if (Changed)
-          S.adopt(std::move(R));
-      }
-      benchmark::DoNotOptimize(Changed);
-    } else {
-      benchmark::DoNotOptimize(S.unionWith(B));
-    }
+    PointsToSet S = A;
+    benchmark::DoNotOptimize(S.unionWith(B));
   }
   State.SetItemsProcessed(State.iterations());
 }
 BENCHMARK(BM_PointsToSetUnionSkewed)
-    ->Args({1 << 14, 1, 0})
-    ->Args({1 << 14, 16, 0})
-    ->Args({1 << 14, 256, 0})
-    ->Args({1 << 14, 1, 1})
-    ->Args({1 << 14, 16, 1})
-    ->Args({1 << 14, 256, 1})
-    ->Args({1 << 14, 16, 2})
-    ->Args({1 << 14, 256, 2});
+    ->Args({1 << 14, 1})
+    ->Args({1 << 14, 16})
+    ->Args({1 << 14, 256});
 
-// Backend axis: 0 = both owned, 1 = both frozen shared blocks — the
-// representation-blind read path the MDE backend leans on (differences
-// against adopted blocks must cost the same as against owned chunks).
 static void BM_PointsToSetDifferenceSkewed(benchmark::State &State) {
   auto [A, B] = skewedSets(static_cast<uint32_t>(State.range(0)),
                            static_cast<uint32_t>(State.range(1)));
-  if (State.range(2) == 1) {
-    A.freeze();
-    B.freeze();
-  }
   for (auto _ : State) {
     // The solver's delta pattern: which of the small set's elements are
     // new w.r.t. the big accumulated set.
@@ -153,14 +110,11 @@ static void BM_PointsToSetDifferenceSkewed(benchmark::State &State) {
   State.SetItemsProcessed(State.iterations());
 }
 BENCHMARK(BM_PointsToSetDifferenceSkewed)
-    ->Args({1 << 14, 1, 0})
-    ->Args({1 << 14, 16, 0})
-    ->Args({1 << 14, 256, 0})
-    ->Args({1 << 14, 1, 1})
-    ->Args({1 << 14, 16, 1})
-    ->Args({1 << 14, 256, 1});
+    ->Args({1 << 14, 1})
+    ->Args({1 << 14, 16})
+    ->Args({1 << 14, 256});
 
-// Backend axis: 0 = bitmap filter (chunked/MDE: intersectWith a full
+// Backend axis: 0 = bitmap filter (chunked: intersectWith a full
 // per-type bitmap), 1 = range filter (hierarchy: intersectWithRanges
 // against the RLE encoding of the same pass set). The range list here is
 // the bitmap's own run-length encoding, so both modes compute the exact

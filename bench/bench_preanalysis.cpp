@@ -9,37 +9,28 @@
 // breakdown, the FPG size (objects, fields, edges), NFA sizes (average
 // and maximum over sampled roots), and shared-automata statistics.
 //
-// It then benchmarks two propagation engines head to head on the ci
-// pre-analysis (the phase MAHJONG's heap modeling consumes). The engine
-// table below is data: every engine declares its name and the engine it
-// is raced against, so adding a fourth engine is one table row. The race
+// It then benchmarks the wave engine against the naive reference on the
+// ci pre-analysis (the phase MAHJONG's heap modeling consumes). The race
 // checks that both engines computed the identical solution (canonical
 // result digests) and emits the comparison as machine-readable JSON for
 // CI trend tracking.
 //
 // Flags:
 //   --smoke        reduced workload scale (fast; what CI runs)
-//   --engine NAME  candidate engine (wave|parallel; default wave). The
-//                  baseline comes from the engine table: wave races the
-//                  naive reference, parallel races serial wave.
-//   --threads N    solver threads for the parallel engine (reaches
-//                  AnalysisOptions::SolverThreads; default hardware)
 //   --json PATH    where to write the JSON report (default
-//                  BENCH_solver.json for wave, BENCH_parallel_solver.json
-//                  for parallel)
+//                  BENCH_solver.json)
 //   --only NAME    restrict both sections to one benchmark profile
 //   --solver-only  skip the Table-2 breakdown; run just the engine
 //                  comparison (for solver-perf iteration)
 //   --set-rep NAME set-representation backend for the engine race
-//                  (chunked|hierarchy|mde; default chunked) — both the
+//                  (chunked|hierarchy; default chunked) — both the
 //                  baseline and the candidate engine use it, so the
 //                  SetBytes-consistency check stays meaningful
-//   --set-rep-race instead of a two-engine race, run every engine x
-//                  every set backend per profile and verify all nine
+//   --set-rep-race instead of a two-engine race, run both engines x
+//                  both set backends per profile and verify all four
 //                  runs agree (canonical digests); records solve time
-//                  and the private/shared set-bytes split per run;
-//                  writes BENCH_setrep.json
-//   --auto-check   instead of a two-engine race, run all three engines
+//                  and set bytes per run; writes BENCH_setrep.json
+//   --auto-check   instead of a two-engine race, run both engines
 //                  per profile and verify SolverEngine::Auto's pre-solve
 //                  pick is never slower than the best manual choice by
 //                  more than 10% (plus a small absolute epsilon so
@@ -58,9 +49,9 @@
 #include "pta/SetRep.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -70,32 +61,17 @@ using namespace mahjong::bench;
 
 namespace {
 
-/// One engine the harness knows how to race. Adding an engine is one row
-/// here (plus, if it should be selectable as a candidate, nothing else):
-/// the race pairs a candidate with the baseline its row names.
+/// The engines the harness races, reference first: the two-engine race
+/// times the second against the first.
 struct EngineSpec {
   const char *Name;
   pta::SolverEngine Engine;
-  /// Engine this one is raced against when chosen as the candidate;
-  /// nullptr marks the root reference that can only serve as a baseline.
-  const char *Baseline;
-  /// Default --json path when this engine is the candidate.
-  const char *JsonPath;
 };
 
 constexpr EngineSpec Engines[] = {
-    {"naive", pta::SolverEngine::Naive, nullptr, nullptr},
-    {"wave", pta::SolverEngine::Wave, "naive", "BENCH_solver.json"},
-    {"parallel", pta::SolverEngine::ParallelWave, "wave",
-     "BENCH_parallel_solver.json"},
+    {"naive", pta::SolverEngine::Naive},
+    {"wave", pta::SolverEngine::Wave},
 };
-
-const EngineSpec *findEngine(const std::string &Name) {
-  for (const EngineSpec &E : Engines)
-    if (Name == E.Name)
-      return &E;
-  return nullptr;
-}
 
 struct SolverRow {
   std::string Name;
@@ -104,8 +80,6 @@ struct SolverRow {
   uint64_t BaseSetBytes = 0, CandSetBytes = 0;
   // Candidate-engine internals (zero where the engine lacks the feature).
   uint64_t SCCsCollapsed = 0, NodesCollapsed = 0, FilterBitmapHits = 0;
-  uint64_t ParallelWaves = 0;
-  double ShardImbalancePct = 0, ShardImbalanceMaxPct = 0;
   bool Identical = false;
   double speedup() const {
     return CandSeconds > 0 ? BaseSeconds / CandSeconds : 0;
@@ -115,25 +89,21 @@ struct SolverRow {
 std::unique_ptr<pta::PTAResult> runEngine(const ir::Program &P,
                                           const ir::ClassHierarchy &CH,
                                           pta::SolverEngine Engine,
-                                          unsigned Threads,
                                           pta::SetRep Rep) {
   pta::AnalysisOptions Opts; // ci, alloc-site heap, no budget
   Opts.Engine = Engine;
-  Opts.SolverThreads = Threads;
   Opts.Rep = Rep;
   return pta::runPointerAnalysis(P, CH, Opts);
 }
 
 void writeJson(const std::string &Path, const char *Mode,
                const EngineSpec &Base, const EngineSpec &Cand,
-               unsigned Threads, const std::vector<SolverRow> &Rows,
+               const std::vector<SolverRow> &Rows,
                const SolverRow *Largest) {
   std::ofstream Out(Path);
   Out << "{\n  \"mode\": \"" << Mode << "\",\n  \"base_engine\": \""
-      << Base.Name << "\",\n  \"cand_engine\": \"" << Cand.Name << "\",\n";
-  if (Cand.Engine == pta::SolverEngine::ParallelWave)
-    Out << "  \"threads\": " << Threads << ",\n";
-  Out << "  \"profiles\": [\n";
+      << Base.Name << "\",\n  \"cand_engine\": \"" << Cand.Name
+      << "\",\n  \"profiles\": [\n";
   for (size_t I = 0; I < Rows.size(); ++I) {
     const SolverRow &R = Rows[I];
     char Buf[768];
@@ -153,15 +123,6 @@ void writeJson(const std::string &Path, const char *Mode,
         (unsigned long long)R.NodesCollapsed,
         (unsigned long long)R.FilterBitmapHits);
     Out << Buf;
-    if (Cand.Engine == pta::SolverEngine::ParallelWave) {
-      std::snprintf(Buf, sizeof(Buf),
-                    ", \"parallel_waves\": %llu, "
-                    "\"shard_imbalance_pct\": %.1f, "
-                    "\"shard_imbalance_max_pct\": %.1f",
-                    (unsigned long long)R.ParallelWaves,
-                    R.ShardImbalancePct, R.ShardImbalanceMaxPct);
-      Out << Buf;
-    }
     Out << ", \"identical\": " << (R.Identical ? "true" : "false") << "}"
         << (I + 1 < Rows.size() ? "," : "") << "\n";
   }
@@ -176,14 +137,14 @@ void writeJson(const std::string &Path, const char *Mode,
   Out << "\n}\n";
 }
 
-/// --auto-check: races all three concrete engines per profile and grades
+/// --auto-check: races both concrete engines per profile and grades
 /// chooseSolverEngine's pre-solve pick against the measured best. The
 /// tolerance is relative (10%) plus a small absolute epsilon — at smoke
 /// scale every engine solves in milliseconds and pure timer noise would
 /// otherwise flunk a correct pick. Exits nonzero on any bad pick or any
 /// digest disagreement between the engines themselves.
 int runAutoCheck(const std::vector<std::string> &Names, double Scale,
-                 bool Smoke, unsigned Threads, std::string JsonPath) {
+                 bool Smoke, std::string JsonPath) {
   constexpr double RelTolerance = 1.10;
   constexpr double AbsEpsilonSeconds = 0.05;
   if (JsonPath.empty())
@@ -191,12 +152,11 @@ int runAutoCheck(const std::vector<std::string> &Names, double Scale,
   std::printf("== Adaptive engine selection (--solver auto) vs best manual "
               "choice%s ==\n\n",
               Smoke ? " [smoke scale]" : "");
-  std::printf("%-12s %9s %9s %9s | %-8s %9s %9s %5s\n", "program",
-              "naive(s)", "wave(s)", "par(s)", "chosen", "chosen(s)",
-              "best(s)", "ok");
+  std::printf("%-12s %9s %9s | %-8s %9s %9s %5s\n", "program", "naive(s)",
+              "wave(s)", "chosen", "chosen(s)", "best(s)", "ok");
   struct AutoRow {
     std::string Name;
-    double Seconds[3] = {0, 0, 0}; // naive, wave, parallel
+    double Seconds[2] = {0, 0}; // naive, wave
     const char *Chosen = "";
     double ChosenSeconds = 0, BestSeconds = 0;
     bool Ok = false, Identical = false;
@@ -208,41 +168,32 @@ int runAutoCheck(const std::vector<std::string> &Names, double Scale,
     ir::ClassHierarchy CH(*P);
     AutoRow Row;
     Row.Name = Name;
-    const pta::SolverEngine Order[3] = {pta::SolverEngine::Naive,
-                                        pta::SolverEngine::Wave,
-                                        pta::SolverEngine::ParallelWave};
-    uint64_t Digest = 0;
-    Row.Identical = true;
-    for (int E = 0; E < 3; ++E) {
-      auto R = runEngine(*P, CH, Order[E], Threads, pta::SetRep::Chunked);
+    const pta::SolverEngine Order[2] = {pta::SolverEngine::Naive,
+                                        pta::SolverEngine::Wave};
+    uint64_t Digest[2] = {0, 0};
+    for (int E = 0; E < 2; ++E) { // one solution alive at a time
+      auto R = runEngine(*P, CH, Order[E], pta::SetRep::Chunked);
       Row.Seconds[E] = R->Stats.Seconds;
-      uint64_t D = pta::canonicalResultDigest(*R);
-      if (E == 0)
-        Digest = D;
-      else if (D != Digest)
-        Row.Identical = false;
+      Digest[E] = pta::canonicalResultDigest(*R);
     }
-    pta::SolverEngine Chosen = pta::chooseSolverEngine(*P, Threads);
+    Row.Identical = Digest[0] == Digest[1];
+    pta::SolverEngine Chosen = pta::chooseSolverEngine(*P);
     Row.Chosen = pta::solverEngineName(Chosen);
     Row.ChosenSeconds =
-        Row.Seconds[Chosen == pta::SolverEngine::Naive          ? 0
-                    : Chosen == pta::SolverEngine::ParallelWave ? 2
-                                                                : 1];
-    Row.BestSeconds =
-        std::min(Row.Seconds[0], std::min(Row.Seconds[1], Row.Seconds[2]));
+        Row.Seconds[Chosen == pta::SolverEngine::Naive ? 0 : 1];
+    Row.BestSeconds = std::min(Row.Seconds[0], Row.Seconds[1]);
     Row.Ok = Row.Identical &&
              Row.ChosenSeconds <=
                  Row.BestSeconds * RelTolerance + AbsEpsilonSeconds;
     AllOk &= Row.Ok;
-    std::printf("%-12s %9.3f %9.3f %9.3f | %-8s %9.3f %9.3f %5s\n",
-                Name.c_str(), Row.Seconds[0], Row.Seconds[1], Row.Seconds[2],
-                Row.Chosen, Row.ChosenSeconds, Row.BestSeconds,
-                Row.Ok ? "yes" : "NO");
+    std::printf("%-12s %9.3f %9.3f | %-8s %9.3f %9.3f %5s\n", Name.c_str(),
+                Row.Seconds[0], Row.Seconds[1], Row.Chosen, Row.ChosenSeconds,
+                Row.BestSeconds, Row.Ok ? "yes" : "NO");
     Rows.push_back(Row);
   }
   std::ofstream Out(JsonPath);
   Out << "{\n  \"mode\": \"" << (Smoke ? "smoke" : "full")
-      << "\",\n  \"check\": \"auto-selection\",\n  \"threads\": " << Threads
+      << "\",\n  \"check\": \"auto-selection\""
       << ",\n  \"rel_tolerance\": " << RelTolerance
       << ",\n  \"abs_epsilon_seconds\": " << AbsEpsilonSeconds
       << ",\n  \"profiles\": [\n";
@@ -251,11 +202,10 @@ int runAutoCheck(const std::vector<std::string> &Names, double Scale,
     char Buf[512];
     std::snprintf(Buf, sizeof(Buf),
                   "    {\"name\": \"%s\", \"naive_seconds\": %.4f, "
-                  "\"wave_seconds\": %.4f, \"parallel_seconds\": %.4f, "
+                  "\"wave_seconds\": %.4f, "
                   "\"chosen\": \"%s\", \"chosen_seconds\": %.4f, "
                   "\"best_seconds\": %.4f, \"identical\": %s, \"ok\": %s}%s\n",
-                  R.Name.c_str(), R.Seconds[0], R.Seconds[1], R.Seconds[2],
-                  R.Chosen, R.ChosenSeconds, R.BestSeconds,
+                  R.Name.c_str(), R.Seconds[0], R.Seconds[1], R.Chosen, R.ChosenSeconds, R.BestSeconds,
                   R.Identical ? "true" : "false", R.Ok ? "true" : "false",
                   I + 1 < Rows.size() ? "," : "");
     Out << Buf;
@@ -273,18 +223,15 @@ int runAutoCheck(const std::vector<std::string> &Names, double Scale,
 /// --set-rep-race: the full backend x engine cross-product per profile.
 /// Every run's canonical digest must match the reference (naive engine on
 /// the chunked backend): the backends are pure representation swaps, so
-/// any divergence is a bug in a filter structure or a sharing fast path.
-/// Per run the JSON records solve seconds and the private/shared
-/// set-bytes split, plus per (profile, engine) the bytes and time of each
-/// backend relative to chunked — the numbers the perf acceptance gate
-/// reads (MDE sharing should cut live set bytes on the big profiles
-/// without costing solve time).
+/// any divergence is a bug in a filter structure. Per run the JSON
+/// records solve seconds and set bytes, plus per (profile, engine) the
+/// bytes and time of the hierarchy backend relative to chunked.
 int runSetRepRace(const std::vector<std::string> &Names, double Scale,
-                  bool Smoke, unsigned Threads, std::string JsonPath) {
+                  bool Smoke, std::string JsonPath) {
   if (JsonPath.empty())
     JsonPath = "BENCH_setrep.json";
   constexpr pta::SetRep Reps[] = {pta::SetRep::Chunked,
-                                  pta::SetRep::Hierarchy, pta::SetRep::Mde};
+                                  pta::SetRep::Hierarchy};
   std::printf("== Set-representation backends x solver engines "
               "(digest race)%s ==\n\n",
               Smoke ? " [smoke scale]" : "");
@@ -292,7 +239,7 @@ int runSetRepRace(const std::vector<std::string> &Names, double Scale,
     const char *Engine;
     const char *Rep;
     double Seconds = 0;
-    uint64_t SetBytes = 0, Private = 0, Shared = 0;
+    uint64_t SetBytes = 0;
     bool Identical = false;
   };
   struct RaceRow {
@@ -309,20 +256,18 @@ int runSetRepRace(const std::vector<std::string> &Names, double Scale,
     uint64_t RefDigest = 0;
     bool HaveRef = false;
     std::printf("%s\n", Name.c_str());
-    std::printf("  %-8s %-9s %9s %14s %14s %14s %5s\n", "engine", "rep",
-                "sec", "set-bytes", "private", "shared", "same");
+    std::printf("  %-8s %-9s %9s %14s %5s\n", "engine", "rep", "sec",
+                "set-bytes", "same");
     for (const EngineSpec &E : Engines) {
       double ChunkedSeconds = 0;
       uint64_t ChunkedBytes = 0;
       for (pta::SetRep Rep : Reps) {
-        auto R = runEngine(*P, CH, E.Engine, Threads, Rep);
+        auto R = runEngine(*P, CH, E.Engine, Rep);
         Run Rn;
         Rn.Engine = E.Name;
         Rn.Rep = pta::setRepName(Rep);
         Rn.Seconds = R->Stats.Seconds;
         Rn.SetBytes = R->Stats.SetBytes;
-        Rn.Private = R->Stats.SetBytesPrivate;
-        Rn.Shared = R->Stats.SetBytesShared;
         uint64_t D = pta::canonicalResultDigest(*R);
         if (!HaveRef) {
           RefDigest = D;
@@ -334,44 +279,40 @@ int runSetRepRace(const std::vector<std::string> &Names, double Scale,
           ChunkedSeconds = Rn.Seconds;
           ChunkedBytes = Rn.SetBytes;
         }
-        std::printf("  %-8s %-9s %9.3f %14llu %14llu %14llu %5s\n",
-                    Rn.Engine, Rn.Rep, Rn.Seconds,
-                    (unsigned long long)Rn.SetBytes,
-                    (unsigned long long)Rn.Private,
-                    (unsigned long long)Rn.Shared,
+        std::printf("  %-8s %-9s %9.3f %14llu %5s\n", Rn.Engine, Rn.Rep,
+                    Rn.Seconds, (unsigned long long)Rn.SetBytes,
                     Rn.Identical ? "yes" : "NO");
         Row.Runs.push_back(Rn);
       }
       if (ChunkedBytes) {
-        const Run &Mde = Row.Runs.back();
-        std::printf("  -> %s: mde bytes %.0f%% of chunked, time %.2fx\n",
-                    E.Name, 100.0 * Mde.SetBytes / ChunkedBytes,
-                    ChunkedSeconds > 0 ? Mde.Seconds / ChunkedSeconds : 0);
+        const Run &Hier = Row.Runs.back();
+        std::printf("  -> %s: hierarchy bytes %.0f%% of chunked, time "
+                    "%.2fx\n",
+                    E.Name, 100.0 * Hier.SetBytes / ChunkedBytes,
+                    ChunkedSeconds > 0 ? Hier.Seconds / ChunkedSeconds : 0);
       }
     }
     Rows.push_back(std::move(Row));
   }
   std::ofstream Out(JsonPath);
   Out << "{\n  \"mode\": \"" << (Smoke ? "smoke" : "full")
-      << "\",\n  \"check\": \"set-rep-race\",\n  \"threads\": " << Threads
-      << ",\n  \"profiles\": [\n";
+      << "\",\n  \"check\": \"set-rep-race\",\n  \"profiles\": [\n";
   for (size_t I = 0; I < Rows.size(); ++I) {
     const RaceRow &Row = Rows[I];
     Out << "    {\"name\": \"" << Row.Name << "\", \"runs\": [\n";
-    // chunked is always the first run of each engine triple.
+    // chunked is always the first run of each engine pair.
+    constexpr size_t NumReps = std::size(Reps);
     for (size_t J = 0; J < Row.Runs.size(); ++J) {
       const Run &Rn = Row.Runs[J];
-      const Run &Ref = Row.Runs[J - J % 3];
+      const Run &Ref = Row.Runs[J - J % NumReps];
       char Buf[512];
       std::snprintf(
           Buf, sizeof(Buf),
           "      {\"engine\": \"%s\", \"rep\": \"%s\", "
           "\"seconds\": %.4f, \"set_bytes\": %llu, "
-          "\"set_bytes_private\": %llu, \"set_bytes_shared\": %llu, "
           "\"bytes_vs_chunked\": %.4f, \"time_vs_chunked\": %.4f, "
           "\"identical\": %s}%s\n",
           Rn.Engine, Rn.Rep, Rn.Seconds, (unsigned long long)Rn.SetBytes,
-          (unsigned long long)Rn.Private, (unsigned long long)Rn.Shared,
           Ref.SetBytes ? (double)Rn.SetBytes / Ref.SetBytes : 0.0,
           Ref.Seconds > 0 ? Rn.Seconds / Ref.Seconds : 0.0,
           Rn.Identical ? "true" : "false",
@@ -440,9 +381,7 @@ int main(int Argc, char **Argv) {
   bool SetRepRace = false;
   std::string JsonPath;
   std::string Only;
-  std::string EngineName = "wave";
   std::string SetRepName = "chunked";
-  unsigned Threads = 0; // 0 = hardware concurrency
   for (int I = 1; I < Argc; ++I) {
     if (!std::strcmp(Argv[I], "--smoke"))
       Smoke = true;
@@ -450,16 +389,10 @@ int main(int Argc, char **Argv) {
       JsonPath = Argv[++I];
     else if (!std::strcmp(Argv[I], "--only") && I + 1 < Argc)
       Only = Argv[++I];
-    else if (!std::strncmp(Argv[I], "--engine=", 9))
-      EngineName = Argv[I] + 9;
-    else if (!std::strcmp(Argv[I], "--engine") && I + 1 < Argc)
-      EngineName = Argv[++I];
     else if (!std::strncmp(Argv[I], "--set-rep=", 10))
       SetRepName = Argv[I] + 10;
     else if (!std::strcmp(Argv[I], "--set-rep") && I + 1 < Argc)
       SetRepName = Argv[++I];
-    else if (!std::strcmp(Argv[I], "--threads") && I + 1 < Argc)
-      Threads = (unsigned)std::strtoul(Argv[++I], nullptr, 10);
     else if (!std::strcmp(Argv[I], "--solver-only"))
       SolverOnly = true;
     else if (!std::strcmp(Argv[I], "--auto-check"))
@@ -468,8 +401,8 @@ int main(int Argc, char **Argv) {
       SetRepRace = true;
     else {
       std::fprintf(stderr,
-                   "usage: bench_preanalysis [--smoke] [--engine NAME] "
-                   "[--set-rep NAME] [--threads N] [--json PATH] "
+                   "usage: bench_preanalysis [--smoke] "
+                   "[--set-rep NAME] [--json PATH] "
                    "[--only PROFILE] [--solver-only] [--auto-check] "
                    "[--set-rep-race]\n");
       return 2;
@@ -478,24 +411,11 @@ int main(int Argc, char **Argv) {
   std::optional<pta::SetRep> Rep = pta::parseSetRep(SetRepName);
   if (!Rep) {
     std::fprintf(stderr,
-                 "unknown set backend '%s' (chunked, hierarchy, mde)\n",
+                 "unknown set backend '%s' (chunked, hierarchy)\n",
                  SetRepName.c_str());
     return 2;
   }
-  const EngineSpec *Cand = findEngine(EngineName);
-  if (!Cand || !Cand->Baseline) {
-    std::fprintf(stderr,
-                 "unknown or baseline-only engine '%s' (candidates:",
-                 EngineName.c_str());
-    for (const EngineSpec &E : Engines)
-      if (E.Baseline)
-        std::fprintf(stderr, " %s", E.Name);
-    std::fprintf(stderr, ")\n");
-    return 2;
-  }
-  const EngineSpec *Base = findEngine(Cand->Baseline);
-  if (JsonPath.empty())
-    JsonPath = Cand->JsonPath;
+  const EngineSpec *Base = &Engines[0], *Cand = &Engines[1];
   const double Scale = Smoke ? 0.05 : 1.0;
   std::vector<std::string> Names;
   for (const std::string &Name : workload::benchmarkNames())
@@ -507,14 +427,13 @@ int main(int Argc, char **Argv) {
   }
 
   if (SetRepRace)
-    return runSetRepRace(Names, Scale, Smoke, Threads,
-                         JsonPath == Cand->JsonPath ? std::string()
-                                                    : JsonPath);
+    return runSetRepRace(Names, Scale, Smoke, JsonPath);
 
   if (AutoCheck)
-    return runAutoCheck(Names, Scale, Smoke, Threads,
-                        JsonPath == Cand->JsonPath ? std::string()
-                                                   : JsonPath);
+    return runAutoCheck(Names, Scale, Smoke, JsonPath);
+
+  if (JsonPath.empty())
+    JsonPath = "BENCH_solver.json";
 
   if (!SolverOnly)
     printPreAnalysisBreakdown(Names, Scale, Smoke);
@@ -533,8 +452,8 @@ int main(int Argc, char **Argv) {
     ir::ClassHierarchy CH(*P);
     SolverRow Row;
     Row.Name = Name;
-    auto BaseR = runEngine(*P, CH, Base->Engine, Threads, *Rep);
-    auto CandR = runEngine(*P, CH, Cand->Engine, Threads, *Rep);
+    auto BaseR = runEngine(*P, CH, Base->Engine, *Rep);
+    auto CandR = runEngine(*P, CH, Cand->Engine, *Rep);
     Row.BaseSeconds = BaseR->Stats.Seconds;
     Row.CandSeconds = CandR->Stats.Seconds;
     Row.BasePops = BaseR->Stats.WorklistPops;
@@ -544,9 +463,6 @@ int main(int Argc, char **Argv) {
     Row.SCCsCollapsed = CandR->Stats.SCCsCollapsed;
     Row.NodesCollapsed = CandR->Stats.NodesCollapsed;
     Row.FilterBitmapHits = CandR->Stats.FilterBitmapHits;
-    Row.ParallelWaves = CandR->Stats.ParallelWaves;
-    Row.ShardImbalancePct = CandR->Stats.ShardImbalancePct;
-    Row.ShardImbalanceMaxPct = CandR->Stats.ShardImbalanceMaxPct;
     Row.Identical = pta::equivalentResults(*BaseR, *CandR);
     AllIdentical &= Row.Identical;
     if (Row.Identical && Row.BaseSetBytes != Row.CandSetBytes) {
@@ -580,8 +496,7 @@ int main(int Argc, char **Argv) {
                 Base->Name, Largest->Name.c_str(), Largest->BaseSeconds,
                 Largest->CandSeconds, Largest->speedup());
 
-  writeJson(JsonPath, Smoke ? "smoke" : "full", *Base, *Cand, Threads, Rows,
-            Largest);
+  writeJson(JsonPath, Smoke ? "smoke" : "full", *Base, *Cand, Rows, Largest);
   std::printf("wrote %s\n", JsonPath.c_str());
 
   if (!AllIdentical) {

@@ -50,9 +50,8 @@ int usage(std::ostream &Err) {
          "commands:\n"
          "  analyze <file.mj> [--analysis ci|2cs|2obj|3obj|2type|3type]\n"
          "                    [--heap site|type|mahjong] [--budget SECONDS]\n"
-         "                    [--solver auto|wave|naive|parallel] "
-         "[--threads N]\n"
-         "                    [--set-rep chunked|hierarchy|mde]\n"
+         "                    [--solver auto|wave|naive] "
+         "[--set-rep chunked|hierarchy]\n"
          "                    [--facts DIR] [--save-snapshot FILE.mjsnap]\n"
          "                    [--trace-out FILE.json] [--metrics-out FILE]\n"
          "                    [--stats-json FILE]\n"
@@ -237,14 +236,13 @@ int cmdAnalyze(int Argc, const char *const *Argv, std::ostream &Out,
     return usage(Err);
   std::string Analysis = "2obj", HeapKind = "mahjong", SolverKind = "auto",
               SetRepStr = "chunked", FactsDir, SnapPath, BudgetStr,
-              ThreadsStr, TraceOut, MetricsOut, StatsJson;
+              TraceOut, MetricsOut, StatsJson;
   FlagParser Flags(Argc, Argv, 3, Err);
   while (!Flags.done()) {
     if (Flags.take("--analysis", Analysis) || Flags.take("--heap", HeapKind) ||
         Flags.take("--budget", BudgetStr) || Flags.take("--facts", FactsDir) ||
         Flags.take("--solver", SolverKind) ||
         Flags.take("--set-rep", SetRepStr) ||
-        Flags.take("--threads", ThreadsStr) ||
         Flags.take("--save-snapshot", SnapPath) ||
         Flags.take("--trace-out", TraceOut) ||
         Flags.take("--metrics-out", MetricsOut) ||
@@ -269,29 +267,16 @@ int cmdAnalyze(int Argc, const char *const *Argv, std::ostream &Out,
         << "'\n";
     return ExitUsage;
   }
-  if (SolverKind != "auto" && SolverKind != "wave" &&
-      SolverKind != "naive" && SolverKind != "parallel") {
+  if (SolverKind != "auto" && SolverKind != "wave" && SolverKind != "naive") {
     Err << "error: flag '--solver' got unknown engine '" << SolverKind
-        << "'\n";
+        << "' (expected auto|wave|naive)\n";
     return ExitUsage;
   }
   std::optional<pta::SetRep> Rep = pta::parseSetRep(SetRepStr);
   if (!Rep) {
     Err << "error: flag '--set-rep' got unknown backend '" << SetRepStr
-        << "'\n";
+        << "' (expected chunked|hierarchy)\n";
     return ExitUsage;
-  }
-  unsigned SolverThreads = 0; // 0 = hardware concurrency
-  if (!ThreadsStr.empty()) {
-    char *End = nullptr;
-    unsigned long N = std::strtoul(ThreadsStr.c_str(), &End, 10);
-    if (!End || *End != '\0' || N < 1 || N > 256) {
-      Err << "error: flag '--threads' needs a thread count in [1, 256], "
-             "got '"
-          << ThreadsStr << "'\n";
-      return ExitUsage;
-    }
-    SolverThreads = static_cast<unsigned>(N);
   }
   // The sink must outlive every traced phase below; the guard uninstalls
   // it on all exits so spans can never outlive their destination.
@@ -323,11 +308,9 @@ int cmdAnalyze(int Argc, const char *const *Argv, std::ostream &Out,
   Opts.Kind = Kind;
   Opts.K = K;
   Opts.TimeBudgetSeconds = Budget;
-  Opts.Engine = SolverKind == "naive"      ? pta::SolverEngine::Naive
-                : SolverKind == "parallel" ? pta::SolverEngine::ParallelWave
-                : SolverKind == "auto"     ? pta::SolverEngine::Auto
-                                           : pta::SolverEngine::Wave;
-  Opts.SolverThreads = SolverThreads;
+  Opts.Engine = SolverKind == "naive"  ? pta::SolverEngine::Naive
+                : SolverKind == "auto" ? pta::SolverEngine::Auto
+                                       : pta::SolverEngine::Wave;
   Opts.Rep = *Rep;
   if (HeapKind == "mahjong") {
     MR = core::buildMahjongHeap(*P, CH);
@@ -378,17 +361,7 @@ int cmdAnalyze(int Argc, const char *const *Argv, std::ostream &Out,
       << R->Stats.NodesCollapsed << " nodes), " << R->Stats.FilterBitmapHits
       << " filter bitmap hits\n";
   Out << "  set rep (" << R->SetRepName << "): " << R->Stats.SetBytes
-      << " set bytes (" << R->Stats.SetBytesPrivate << " private, "
-      << R->Stats.SetBytesShared << " shared)\n";
-  if (R->EngineName == "parallel")
-    Out << "  parallel waves:     " << R->Stats.ParallelWaves << " ("
-        << R->Stats.DeltasBuffered << " deltas buffered, "
-        << R->Stats.DeltasMerged << " merged, " << R->Stats.DeltasDropped
-        << " dropped)\n"
-        << "  parallel balance:   shard imbalance " << std::setprecision(1)
-        << R->Stats.ShardImbalancePct << "% mean / "
-        << R->Stats.ShardImbalanceMaxPct << "% max, " << R->Stats.WorkSteals
-        << " chunks stolen\n";
+      << " set bytes\n";
   if (!FactsDir.empty()) {
     if (!pta::writeAllFacts(*R, FactsDir)) {
       Err << "error: cannot write facts into '" << FactsDir << "'\n";

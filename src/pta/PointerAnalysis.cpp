@@ -9,11 +9,8 @@
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
 #include "pta/NaiveSolver.h"
-#include "pta/ParallelSolver.h"
 #include "pta/SetBackend.h"
 #include "pta/Solver.h"
-
-#include <thread>
 
 using namespace mahjong;
 using namespace mahjong::ir;
@@ -67,8 +64,6 @@ const char *mahjong::pta::solverEngineName(SolverEngine Engine) {
     return "wave";
   case SolverEngine::Naive:
     return "naive";
-  case SolverEngine::ParallelWave:
-    return "parallel";
   case SolverEngine::Auto:
     break;
   }
@@ -84,34 +79,22 @@ namespace {
 // to checkstyle 574k, chart 623k and up, where wave is at worst within
 // a few percent of naive and wins big where collapsing bites (eclipse
 // 1.57M work, 1.68x; jpc 1.23M, 1.76x). The naive cutoff sits in the
-// gap, above fop. The parallel cutoff marks systems big enough that a
-// wave's sweep amortizes buffering — the eclipse class — and only
-// matters on hardware with real concurrency.
+// gap, above fop.
 constexpr uint64_t NaiveWorkCutoff = 250'000;
-constexpr uint64_t ParallelWorkCutoff = 1'500'000;
 
 } // namespace
 
 SolverEngine mahjong::pta::chooseSolverEngine(uint64_t NumVars,
-                                              uint64_t NumObjs,
-                                              unsigned HardwareThreads) {
+                                              uint64_t NumObjs) {
   // Work proxy: variables seed the constraint graph one node each;
   // allocation sites weigh more, since objects multiply both field nodes
   // and average set sizes.
   uint64_t Work = NumVars + 4 * NumObjs;
-  if (Work < NaiveWorkCutoff)
-    return SolverEngine::Naive;
-  if (HardwareThreads >= 4 && Work >= ParallelWorkCutoff)
-    return SolverEngine::ParallelWave;
-  return SolverEngine::Wave;
+  return Work < NaiveWorkCutoff ? SolverEngine::Naive : SolverEngine::Wave;
 }
 
-SolverEngine mahjong::pta::chooseSolverEngine(const Program &P,
-                                              unsigned SolverThreads) {
-  unsigned HW = SolverThreads
-                    ? SolverThreads
-                    : std::max(1u, std::thread::hardware_concurrency());
-  return chooseSolverEngine(P.numVars(), P.numObjs(), HW);
+SolverEngine mahjong::pta::chooseSolverEngine(const Program &P) {
+  return chooseSolverEngine(P.numVars(), P.numObjs());
 }
 
 std::unique_ptr<PTAResult>
@@ -124,7 +107,7 @@ mahjong::pta::runPointerAnalysis(const Program &P, const ClassHierarchy &CH,
   R->AnalysisName = analysisName(Opts.Kind, Opts.K);
   R->HeapName = Heap.name();
   SolverEngine Engine = Opts.Engine == SolverEngine::Auto
-                            ? chooseSolverEngine(P, Opts.SolverThreads)
+                            ? chooseSolverEngine(P)
                             : Opts.Engine;
   R->EngineName = solverEngineName(Engine);
   // The set-representation backend lives outside the engine: prepare()
@@ -137,11 +120,6 @@ mahjong::pta::runPointerAnalysis(const Program &P, const ClassHierarchy &CH,
   if (Engine == SolverEngine::Naive) {
     obs::ScopedSpan Span("solve/naive");
     NaiveSolver S(P, CH, Heap, *Selector, *Ops, *R, Opts.TimeBudgetSeconds);
-    S.run();
-  } else if (Engine == SolverEngine::ParallelWave) {
-    obs::ScopedSpan Span("solve/parallel");
-    ParallelSolver S(P, CH, Heap, *Selector, *Ops, *R,
-                     Opts.TimeBudgetSeconds, Opts.SolverThreads);
     S.run();
   } else {
     obs::ScopedSpan Span("solve/wave");
@@ -166,14 +144,5 @@ void mahjong::pta::exportStats(const PTAStats &S, obs::MetricsRegistry &Reg,
   Reg.counter(Prefix + "nodes_collapsed").set(S.NodesCollapsed);
   Reg.counter(Prefix + "filter_bitmap_hits").set(S.FilterBitmapHits);
   Reg.counter(Prefix + "set_bytes").set(S.SetBytes);
-  Reg.counter(Prefix + "set_bytes_private").set(S.SetBytesPrivate);
-  Reg.counter(Prefix + "set_bytes_shared").set(S.SetBytesShared);
   Reg.counter(Prefix + "working_set_bytes").set(S.WorkingSetBytes);
-  Reg.counter(Prefix + "parallel_waves").set(S.ParallelWaves);
-  Reg.counter(Prefix + "deltas_buffered").set(S.DeltasBuffered);
-  Reg.counter(Prefix + "deltas_merged").set(S.DeltasMerged);
-  Reg.counter(Prefix + "deltas_dropped").set(S.DeltasDropped);
-  Reg.counter(Prefix + "work_steals").set(S.WorkSteals);
-  Reg.gauge(Prefix + "shard_imbalance_pct").set(S.ShardImbalancePct);
-  Reg.gauge(Prefix + "shard_imbalance_max_pct").set(S.ShardImbalanceMaxPct);
 }

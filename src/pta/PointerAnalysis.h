@@ -56,46 +56,16 @@ struct PTAStats {
   uint64_t SCCsCollapsed = 0;  ///< copy-edge SCCs merged online
   uint64_t NodesCollapsed = 0; ///< nodes absorbed into a representative
   uint64_t FilterBitmapHits = 0; ///< cast filters served by a type bitmap
-  /// Live chunk bytes of the final flattened solution: always
-  /// SetBytesPrivate + SetBytesShared. A pure function of the computed
-  /// sets (the MDE backend re-interns the solution through a fresh
-  /// interner before counting), so it is identical across engines that
-  /// agree bit for bit (see tests/pta/StatsConservationTest.cpp).
+  /// Live chunk bytes of the final flattened solution (the sum of
+  /// PointsToSet::liveBytes). A pure function of the computed sets, so it
+  /// is identical across engines that agree bit for bit (see
+  /// tests/pta/StatsConservationTest.cpp).
   uint64_t SetBytes = 0;
-  /// Live bytes of chunk storage referenced by exactly one final set.
-  /// Under backends without storage sharing this is all of SetBytes.
-  uint64_t SetBytesPrivate = 0;
-  /// Live bytes of chunk blocks referenced by two or more final sets,
-  /// counted once per block regardless of how many sets share it — the
-  /// MDE backend's deduplication win shows up here.
-  uint64_t SetBytesShared = 0;
   /// Engine-owned working set at the end of the run: capacity bytes of
-  /// every solution + pending set, measured before the wave engines
-  /// flatten representatives back onto their classes. Not comparable
+  /// every solution + pending set, measured before the wave engine
+  /// flattens representatives back onto their classes. Not comparable
   /// across engines.
   uint64_t WorkingSetBytes = 0;
-  // Wave-parallel engine counters (zero under the serial engines).
-  uint64_t ParallelWaves = 0;  ///< waves executed by the sharded sweep
-  uint64_t DeltasBuffered = 0; ///< delivery records emitted into buffers
-  uint64_t DeltasMerged = 0;   ///< delivery records folded by the merge
-  /// Delivery records buffered but never folded because the run timed
-  /// out mid-wave. The conservation law the parallel engine guarantees is
-  /// DeltasBuffered == DeltasMerged + DeltasDropped — with DeltasDropped
-  /// nonzero only when TimedOut (see tests/pta/StatsConservationTest.cpp).
-  uint64_t DeltasDropped = 0;
-  /// Sweep sub-chunks executed by a worker other than their planned
-  /// owner. Scheduling telemetry: like Seconds, not deterministic.
-  uint64_t WorkSteals = 0;
-  /// How uneven the *planned* per-worker sweep work was, before stealing
-  /// rebalanced it: per wave, (max - mean) / mean over each worker's
-  /// measured sweep cost (pops + delta elements diffed + records
-  /// emitted), in percent; aggregated across waves as a work-weighted
-  /// mean. A pure function of the wave structure, so it is deterministic
-  /// across runs and machines.
-  double ShardImbalancePct = 0;
-  /// Max of the same per-wave metric over waves with non-trivial work
-  /// (pta::ImbalanceAccumulator::MinWaveWorkForMax units or more).
-  double ShardImbalanceMaxPct = 0;
 };
 
 /// The complete solution of one points-to analysis run.
@@ -126,11 +96,11 @@ public:
   LogHistogram WaveMicros;
   std::string AnalysisName;
   std::string HeapName;
-  /// The concrete engine that produced this result ("wave", "naive",
-  /// "parallel") — under SolverEngine::Auto, the one the heuristic chose.
+  /// The concrete engine that produced this result ("wave" or "naive")
+  /// — under SolverEngine::Auto, the one the heuristic chose.
   std::string EngineName;
-  /// The set-representation backend of the run ("chunked", "hierarchy",
-  /// "mde"); see AnalysisOptions::Rep.
+  /// The set-representation backend of the run ("chunked" or
+  /// "hierarchy"); see AnalysisOptions::Rep.
   std::string SetRepName;
 
   // --- Pointer-node key encoding ---
@@ -188,24 +158,22 @@ public:
   }
 };
 
-/// Which propagation core solves the constraint system. All engines
-/// compute the same fixpoint (see tests/pta/SolverEquivalenceTest.cpp and
-/// tests/pta/ParallelSolverEquivalenceTest.cpp); Naive is retained as the
-/// differential reference and perf baseline.
+/// Which propagation core solves the constraint system. Both engines
+/// compute the same fixpoint (see tests/pta/SolverEquivalenceTest.cpp);
+/// Naive is retained as the differential reference and perf baseline.
 enum class SolverEngine {
-  Wave,         ///< cycle-collapsing, topologically ordered wave propagation
-  Naive,        ///< textbook FIFO worklist
-  ParallelWave, ///< wave engine with sharded multi-threaded sweeps
-  Auto,         ///< pick one of the above from cheap pre-solve heuristics
+  Wave,  ///< cycle-collapsing, topologically ordered wave propagation
+  Naive, ///< textbook FIFO worklist
+  Auto,  ///< pick one of the above from a cheap pre-solve size proxy
 };
 
-/// The CLI-facing name of a *concrete* engine ("wave", "naive",
-/// "parallel"); Auto resolves before naming.
+/// The CLI-facing name of a *concrete* engine ("wave", "naive"); Auto
+/// resolves before naming.
 const char *solverEngineName(SolverEngine Engine);
 
 /// Resolves SolverEngine::Auto to a concrete engine from cheap pre-solve
-/// size proxies. The heuristic, calibrated against BENCH_solver.json /
-/// BENCH_parallel_solver.json at full scale:
+/// size proxies. The heuristic, calibrated against BENCH_solver.json and
+/// BENCH_auto_solver.json at full scale:
 ///
 ///  - Small constraint systems fit in cache and converge in a handful of
 ///    waves; the naive FIFO worklist wins there because conditioning
@@ -213,18 +181,12 @@ const char *solverEngineName(SolverEngine Engine);
 ///  - Large systems are dominated by redundant propagation around copy
 ///    cycles; the wave engine's collapsing pays for itself many times
 ///    over (eclipse/jpc run ~1.7x faster than naive).
-///  - The sharded parallel engine only amortizes its buffering overhead
-///    when there are both workers to use (\p HardwareThreads >= 4) and
-///    enough per-wave work to split.
 ///
-/// A pure function of its arguments: same program + same thread budget =>
-/// same engine, on any machine with the same core count.
-SolverEngine chooseSolverEngine(uint64_t NumVars, uint64_t NumObjs,
-                                unsigned HardwareThreads);
+/// A pure function of its arguments: same program => same engine.
+SolverEngine chooseSolverEngine(uint64_t NumVars, uint64_t NumObjs);
 
-/// Convenience overload: size proxies from \p P, worker budget from
-/// \p SolverThreads (0 = std::thread::hardware_concurrency()).
-SolverEngine chooseSolverEngine(const ir::Program &P, unsigned SolverThreads);
+/// Convenience overload: size proxies from \p P.
+SolverEngine chooseSolverEngine(const ir::Program &P);
 
 /// Options selecting the analysis variant.
 struct AnalysisOptions {
@@ -240,16 +202,13 @@ struct AnalysisOptions {
   /// the budget stops early with Stats.TimedOut set (the paper's
   /// "unscalable within 5 hours" rows).
   double TimeBudgetSeconds = 0;
-  /// Worker threads for SolverEngine::ParallelWave (0 = hardware
-  /// concurrency). The result is identical at every thread count — the
-  /// sharded sweep's merge order is a function of the wave, not of the
-  /// schedule — so this is purely a performance knob. Ignored by the
-  /// serial engines.
+  /// Ignored: both engines are single-threaded. Kept only because
+  /// bench/e2e/src/Pipeline.cpp assigns it.
   unsigned SolverThreads = 0;
-  /// How points-to sets are represented, filtered and shared
-  /// (pta/SetBackend.h). Every backend computes the same fixpoint
+  /// How cs-objects are numbered and cast filters represented
+  /// (pta/SetBackend.h). Both backends compute the same fixpoint
   /// (enforced by tests/pta/SetRepEquivalenceTest.cpp and the
-  /// bench_preanalysis --set-rep race); they trade bytes against speed.
+  /// bench_preanalysis --set-rep-race); they differ in speed.
   /// Note: the hierarchy backend pre-interns one cs-object per
   /// allocation site, so Stats.NumCSObjs counts all sites instead of
   /// only the discovered ones under it.
@@ -271,7 +230,7 @@ namespace mahjong::pta {
 
 /// Publishes every PTAStats field into \p Reg under
 /// "<Prefix><snake_case_field>" — integral fields as counters, Seconds
-/// and the imbalance percentages as gauges. The registry is the machine-
+/// as a gauge. The registry is the machine-
 /// readable face of the hand-printed CLI stats block; keep the two in
 /// sync.
 void exportStats(const PTAStats &S, obs::MetricsRegistry &Reg,

@@ -17,16 +17,16 @@ using namespace mahjong;
 using namespace mahjong::ir;
 using namespace mahjong::pta;
 
-// Deliberately no pre-interning here: the chunked and MDE backends keep
-// each engine's *discovery order* for cs-object raw ids, because the
+// Deliberately no pre-interning here: the chunked backend keeps each
+// engine's *discovery order* for cs-object raw ids, because the
 // windowed union leans on it — newly discovered objects get the highest
 // ids, so fresh deltas land in the tail window and unions stay O(window).
 // Pre-interning in program order was tried and destroyed that locality
 // (150x solve-time regressions on profiles whose reachability order
 // diverges from program order). The cost is that chunk *packing* — and
 // with it SetBytes — can differ by a handful of chunks between the naive
-// and wave discovery orders; wave and parallel share one order by
-// construction, and the hierarchy backend pins numbering outright.
+// and wave discovery orders; the hierarchy backend pins numbering
+// outright.
 void SetRepOps::prepare(PTAResult &R) { (void)R; }
 
 void SetRepOps::registerObj(uint32_t CSObjRaw, TypeId T) {
@@ -39,22 +39,11 @@ void SetRepOps::registerObj(uint32_t CSObjRaw, TypeId T) {
   ObjTypes[CSObjRaw] = T;
 }
 
-void SetRepOps::finalizeResult(PTAResult &R) {
-  // No sharing in this backend: every set privately owns its chunks, so
-  // the historical SetBytes (sum of liveBytes) is entirely private.
-  uint64_t Private = 0;
-  for (const PointsToSet &S : R.Pts)
-    Private += S.liveBytes();
-  R.Stats.SetBytesPrivate = Private;
-  R.Stats.SetBytesShared = 0;
-  R.Stats.SetBytes = Private;
-}
-
 //===----------------------------------------------------------------------===//
-// BitmapFilterOps (chunked reference + MDE substrate)
+// ChunkedOps
 //===----------------------------------------------------------------------===//
 
-void BitmapFilterOps::registerObj(uint32_t CSObjRaw, TypeId T) {
+void ChunkedOps::registerObj(uint32_t CSObjRaw, TypeId T) {
   SetRepOps::registerObj(CSObjRaw, T);
   // Keep every already-materialized filter bitmap current: a cs-object
   // born after the bitmap was built must still pass future casts.
@@ -63,7 +52,7 @@ void BitmapFilterOps::registerObj(uint32_t CSObjRaw, TypeId T) {
       Objs.insert(CSObjRaw);
 }
 
-void BitmapFilterOps::materializeFilter(TypeId F) {
+void ChunkedOps::materializeFilter(TypeId F) {
   auto [It, Inserted] = FilterObjs.try_emplace(F.idx());
   if (!Inserted)
     return;
@@ -74,7 +63,7 @@ void BitmapFilterOps::materializeFilter(TypeId F) {
       It->second.insert(Raw);
 }
 
-void BitmapFilterOps::applyFilter(PointsToSet &S, TypeId F) const {
+void ChunkedOps::applyFilter(PointsToSet &S, TypeId F) const {
   auto It = FilterObjs.find(F.idx());
   assert(It != FilterObjs.end() && "filter bitmap not materialized");
   S.intersectWith(It->second);
@@ -157,7 +146,7 @@ void HierarchyOps::registerObj(uint32_t CSObjRaw, TypeId T) {
     return; // ranked block: range masks cover it by construction
   // A context-sensitive heap object born after prepare(): add it to the
   // overflow bitmap of every filter it passes, mirroring what
-  // BitmapFilterOps does for its full bitmaps.
+  // ChunkedOps does for its full bitmaps.
   for (auto &[FilterRaw, Flt] : Filters)
     if (CH.isSubtype(T, TypeId(FilterRaw)))
       Flt.Overflow.insert(CSObjRaw);
@@ -197,92 +186,9 @@ void HierarchyOps::applyFilter(PointsToSet &S, TypeId F) const {
   S.intersectWithRanges(It->second.Ranges, &It->second.Overflow);
 }
 
-//===----------------------------------------------------------------------===//
-// MdeOps
-//===----------------------------------------------------------------------===//
-
-bool MdeOps::unionInto(PointsToSet &Dst, const PointsToSet &Delta) {
-  if (Delta.empty())
-    return false;
-  if (Dst.empty()) {
-    Dst = Delta; // refcount bump when Delta is a frozen block
-    return true;
-  }
-  if (Dst.isShared() && Delta.isShared()) {
-    ChunkInterner::BlockRef BaseRef = Dst.block();
-    ChunkInterner::BlockRef DeltaRef = Delta.block();
-    if (BaseRef == DeltaRef)
-      return false;
-    // The memo pays O(|result|) to hash and intern every *miss*, against
-    // a chunked merge whose cost is bounded by the delta's tail window.
-    // That trade only wins for the small, heavily duplicated sets; on a
-    // large accumulated base it would make every union linear in the
-    // whole set (quadratic solves on the big profiles). Past this bound
-    // the set permanently leaves the shared regime — unionWith's COW
-    // materializes it — and later unions are plain windowed merges.
-    // Footprint reporting is unaffected: finalizeResult re-interns the
-    // final solution from scratch, not from solve-time sharing.
-    constexpr size_t kMemoChunkBound = 32;
-    if (Dst.chunks().size() + Delta.chunks().size() > kMemoChunkBound)
-      return Dst.unionWith(Delta);
-    bool Changed = false;
-    if (const ChunkInterner::BlockRef *Res =
-            IC.memoLookup(BaseRef.get(), DeltaRef.get(), Changed)) {
-      if (Changed)
-        Dst.adopt(*Res);
-      return Changed;
-    }
-    PointsToSet Merged = Dst;
-    Changed = Merged.unionWith(Delta);
-    ChunkInterner::BlockRef Res = Changed ? IC.intern(Merged) : BaseRef;
-    IC.memoStore(BaseRef, DeltaRef, Res, Changed);
-    if (Changed)
-      Dst.adopt(std::move(Res));
-    return Changed;
-  }
-  return Dst.unionWith(Delta);
-}
-
-void MdeOps::finalizeResult(PTAResult &R) {
-  // Re-intern the whole flattened solution through a *fresh* interner:
-  // the solve-time interner's contents depend on the engine's delta
-  // history, and SetBytes must stay a pure function of the solution so
-  // all engines report the same number. Identical final sets — collapsed
-  // class members, copy-chain tails, repeated singletons — collapse to
-  // one block here regardless of how they were produced.
-  ChunkInterner Final;
-  for (PointsToSet &S : R.Pts) {
-    if (S.empty())
-      continue;
-    S.adopt(Final.intern(S));
-  }
-  std::unordered_map<const ChunkInterner::Block *, uint32_t> Refs;
-  Refs.reserve(R.Pts.size());
-  for (const PointsToSet &S : R.Pts)
-    if (S.isShared())
-      ++Refs[S.block().get()];
-  uint64_t Private = 0, Shared = 0;
-  for (const auto &[Blk, NumRefs] : Refs) {
-    uint64_t Bytes = Blk->Chunks.size() * sizeof(PointsToSet::Chunk);
-    if (NumRefs == 1)
-      Private += Bytes; // sole referent: effectively owned
-    else
-      Shared += Bytes; // counted once, however many sets point at it
-  }
-  R.Stats.SetBytesPrivate = Private;
-  R.Stats.SetBytesShared = Shared;
-  R.Stats.SetBytes = Private + Shared;
-}
-
 std::unique_ptr<SetRepOps> mahjong::pta::makeSetRepOps(
     SetRep Rep, const Program &P, const ClassHierarchy &CH) {
-  switch (Rep) {
-  case SetRep::Hierarchy:
+  if (Rep == SetRep::Hierarchy)
     return std::make_unique<HierarchyOps>(P, CH);
-  case SetRep::Mde:
-    return std::make_unique<MdeOps>(P, CH);
-  case SetRep::Chunked:
-    break;
-  }
   return std::make_unique<ChunkedOps>(P, CH);
 }

@@ -11,24 +11,13 @@
 ///
 ///  - the cs-object type table (every engine registers discovered
 ///    objects here; NaiveSolver's per-element semantic filter reads it),
-///  - the cast-filter machinery (per-type bitmaps for the chunked/MDE
-///    backends, [lo, hi) hierarchy range masks for the hierarchy
-///    backend),
-///  - the hierarchy backend's object renumbering pre-pass (prepare()),
-///  - the MDE backend's block interner, union memo and delta freezing,
-///  - the SetBytes private/shared accounting pass (finalizeResult()).
-///
-/// Thread contract, mirroring the solver phases: materializeFilter(),
-/// unionInto() and finalizeResult() are serial-context-only;
-/// applyFilter() and typeOf() are const and safe for concurrent readers
-/// once the relevant filter was materialized (the parallel engine
-/// materializes at edge-addition time, which is serial); shareDelta()
-/// touches only its argument and is safe from any worker.
+///  - the cast-filter machinery (per-type bitmaps for the chunked
+///    backend, [lo, hi) hierarchy range masks for the hierarchy backend),
+///  - the hierarchy backend's object renumbering pre-pass (prepare()).
 ///
 /// The set *value type* stays support/PointsToSet.h for every backend
-/// (concept-checked there): backends change how ids are numbered, how
-/// filters are represented and how storage is shared — never the chunk
-/// format clients read.
+/// (concept-checked there): backends change how ids are numbered and how
+/// filters are represented — never the chunk format clients read.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,7 +25,6 @@
 #define MAHJONG_PTA_SETBACKEND_H
 
 #include "pta/SetRep.h"
-#include "support/ChunkInterner.h"
 #include "support/Ids.h"
 #include "support/PointsToSet.h"
 
@@ -56,8 +44,7 @@ class PTAResult;
 
 /// Per-run set-representation strategy. Engines hold a reference; the
 /// analysis facade (runPointerAnalysis) owns the object and calls
-/// prepare() before constructing an engine and finalizeResult() runs via
-/// SolverCore::finalizeStats after the solution is flattened.
+/// prepare() before constructing an engine.
 class SetRepOps {
 public:
   const SetRep Kind;
@@ -66,7 +53,7 @@ public:
       : Kind(Kind), P(P), CH(CH) {}
   virtual ~SetRepOps() = default;
 
-  /// Pre-solve hook. The base backends keep the engine's discovery-order
+  /// Pre-solve hook. The chunked backend keeps the engine's discovery-order
   /// cs-object numbering (the windowed union depends on its locality —
   /// see the comment in SetBackend.cpp). The hierarchy backend overrides
   /// this to pre-intern every allocation site's context-insensitive
@@ -76,7 +63,7 @@ public:
   virtual void prepare(PTAResult &R);
 
   /// Records a discovered cs-object and its dynamic type, keeping every
-  /// already-materialized filter structure current. Serial contexts only.
+  /// already-materialized filter structure current.
   virtual void registerObj(uint32_t CSObjRaw, TypeId T);
 
   /// Dynamic type of a registered cs-object (invalid if unregistered).
@@ -84,34 +71,13 @@ public:
     return CSObjRaw < ObjTypes.size() ? ObjTypes[CSObjRaw] : TypeId();
   }
 
-  /// Builds (or confirms) the filter structure for cast target \p F.
-  /// Serial contexts only; applyFilter for \p F is valid afterwards.
+  /// Builds (or confirms) the filter structure for cast target \p F;
+  /// applyFilter for \p F is valid afterwards.
   virtual void materializeFilter(TypeId F) = 0;
 
   /// Restricts \p S to the cs-objects passing cast target \p F, using the
-  /// structure materializeFilter built. Const — safe under the parallel
-  /// engine's concurrent merge phase.
+  /// structure materializeFilter built.
   virtual void applyFilter(PointsToSet &S, TypeId F) const = 0;
-
-  /// Merges \p Delta into \p Dst (the engines' pending-set union). The
-  /// MDE backend consults its (base block, delta block) memo first.
-  /// \returns true if \p Dst changed. Serial contexts only.
-  virtual bool unionInto(PointsToSet &Dst, const PointsToSet &Delta) {
-    return Dst.unionWith(Delta);
-  }
-
-  /// Makes a freshly computed delta cheap to fan out (MDE: freeze into a
-  /// shared block, so every adopting target is a refcount bump). Touches
-  /// only \p Delta — safe from any thread.
-  virtual void shareDelta(PointsToSet &Delta) { (void)Delta; }
-
-  /// Post-solve accounting over the flattened solution: fills
-  /// Stats.SetBytesPrivate / SetBytesShared / SetBytes. The MDE backend
-  /// first re-interns every final set through a fresh interner, so
-  /// identical sets collapse to one block no matter which engine (or
-  /// sharing history) produced them — keeping all three numbers a pure
-  /// function of the solution, engine-invariant like VarPtsEntries.
-  virtual void finalizeResult(PTAResult &R);
 
 protected:
   const ir::Program &P;
@@ -120,29 +86,20 @@ protected:
   std::vector<TypeId> ObjTypes;
 };
 
-/// Shared implementation of per-type filter *bitmaps* (the pre-backend
-/// mechanism): a lazily built PointsToSet of every registered cs-object
-/// whose type passes the filter. The chunked reference backend is exactly
-/// this; the MDE backend layers sharing on top of it.
-class BitmapFilterOps : public SetRepOps {
+/// The reference backend (SetRep::Chunked): discovery-order ids and
+/// per-type filter *bitmaps* — a lazily built PointsToSet of every
+/// registered cs-object whose type passes the filter.
+class ChunkedOps final : public SetRepOps {
 public:
-  using SetRepOps::SetRepOps;
+  ChunkedOps(const ir::Program &P, const ir::ClassHierarchy &CH)
+      : SetRepOps(SetRep::Chunked, P, CH) {}
 
   void registerObj(uint32_t CSObjRaw, TypeId T) override;
   void materializeFilter(TypeId F) override;
   void applyFilter(PointsToSet &S, TypeId F) const override;
 
-protected:
+private:
   std::unordered_map<uint32_t, PointsToSet> FilterObjs; ///< by TypeId raw
-};
-
-/// The reference backend (SetRep::Chunked): plain chunked sparse bitmaps,
-/// discovery-order ids, bitmap filters. Behavior-identical to the
-/// pre-backend solver.
-class ChunkedOps final : public BitmapFilterOps {
-public:
-  ChunkedOps(const ir::Program &P, const ir::ClassHierarchy &CH)
-      : BitmapFilterOps(SetRep::Chunked, P, CH) {}
 };
 
 /// The hierarchy backend (SetRep::Hierarchy): prepare() renumbers the
@@ -182,26 +139,6 @@ private:
   std::vector<TypeId> TypeOfRank;  ///< dynamic type per rank
   std::vector<ObjId> RankToObj;    ///< allocation site per rank
   std::unordered_map<uint32_t, Filter> Filters; ///< by TypeId raw
-};
-
-/// The MDE backend (SetRep::Mde): chunked bitmaps + sub-set sharing.
-/// Deltas freeze into refcounted blocks before fan-out, pending-set
-/// unions adopt blocks / consult the (base, delta) memo, and
-/// finalizeResult interns the whole solution so identical final sets are
-/// stored once (reported via SetBytesShared).
-class MdeOps final : public BitmapFilterOps {
-public:
-  MdeOps(const ir::Program &P, const ir::ClassHierarchy &CH)
-      : BitmapFilterOps(SetRep::Mde, P, CH) {}
-
-  bool unionInto(PointsToSet &Dst, const PointsToSet &Delta) override;
-  void shareDelta(PointsToSet &Delta) override { Delta.freeze(); }
-  void finalizeResult(PTAResult &R) override;
-
-  const ChunkInterner &interner() const { return IC; }
-
-private:
-  ChunkInterner IC;
 };
 
 /// Backend factory for AnalysisOptions::Rep.

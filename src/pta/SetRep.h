@@ -20,13 +20,12 @@
 
 namespace mahjong::pta {
 
-/// How points-to sets are represented and filtered. All backends compute
-/// bit-identical solutions (pta::ResultDigest; raced by
-/// bench_preanalysis --setrep); they differ in bytes and speed.
+/// How cs-objects are numbered and cast filters represented. Both
+/// backends compute bit-identical solutions (pta::ResultDigest; raced by
+/// bench_preanalysis --set-rep-race); they differ in speed.
 enum class SetRep {
-  Chunked,   ///< plain chunked sparse bitmaps; per-type filter bitmaps
+  Chunked,   ///< discovery-order object ids; per-type filter bitmaps
   Hierarchy, ///< class-hierarchy-ranked object ids; range-mask filters
-  Mde,       ///< chunked + interned shared blocks and union memoization
 };
 
 inline const char *setRepName(SetRep Rep) {
@@ -35,8 +34,6 @@ inline const char *setRepName(SetRep Rep) {
     return "chunked";
   case SetRep::Hierarchy:
     return "hierarchy";
-  case SetRep::Mde:
-    return "mde";
   }
   return "chunked";
 }
@@ -46,8 +43,6 @@ inline std::optional<SetRep> parseSetRep(std::string_view Name) {
     return SetRep::Chunked;
   if (Name == "hierarchy")
     return SetRep::Hierarchy;
-  if (Name == "mde")
-    return SetRep::Mde;
   return std::nullopt;
 }
 

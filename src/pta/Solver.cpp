@@ -68,9 +68,7 @@ PointsToSet Solver::filtered(const PointsToSet &Set, TypeId Filter) {
 void Solver::enqueue(uint32_t N, const PointsToSet &Delta) {
   if (Delta.empty())
     return;
-  // The backend mediates the pending-set union: the MDE backend adopts
-  // shared delta blocks and memoizes repeated (base, delta) pairs.
-  Ops.unionInto(Pending[N], Delta);
+  Pending[N].unionWith(Delta);
   // A node already marked dirty batches: either its turn in the current
   // wave is still ahead (it will see the enlarged Pending), or it already
   // sits in NextWave. Only a clean node needs a new wave entry.
@@ -117,10 +115,6 @@ void Solver::propagate(uint32_t N, const PointsToSet &Delta) {
   PointsToSet Diff = R.Pts[N].differenceFrom(Delta);
   if (Diff.empty())
     return;
-  // Freeze the delta before accumulating and fanning it out: under the
-  // MDE backend every recipient (including R.Pts[N] when it is still
-  // empty) adopts the one shared block instead of copying chunks.
-  Ops.shareDelta(Diff);
   R.Pts[N].unionWith(Diff);
   // Snapshot the edge count: onVarGrowth below may append to Out[N], and
   // those new edges are seeded from the already-updated set. Index per
@@ -337,34 +331,17 @@ void Solver::flattenResult() {
   }
 }
 
-void Solver::seedEntry() {
-  // Ensure the null cs-object's type is recorded before any filtering.
-  registerCSObj(CSNullObjRaw, P.nullType());
-  addReachable(R.Ctxs.empty(), P.entryMethod());
-}
-
 void Solver::sortWave(std::vector<uint32_t> &Wave) const {
   std::sort(Wave.begin(), Wave.end(), [this](uint32_t A, uint32_t B) {
     return Order[A] != Order[B] ? Order[A] < Order[B] : A < B;
   });
 }
 
-void Solver::finishRun(const Timer &Clock, uint64_t Pops) {
-  // Record the engine's true working set before flattening duplicates the
-  // representative sets back onto class members.
-  for (uint32_t I = 0; I < R.Nodes.size(); ++I)
-    R.Stats.WorkingSetBytes +=
-        R.Pts[I].memoryBytes() + Pending[I].memoryBytes();
-  flattenResult();
-
-  R.Stats.Seconds = Clock.seconds();
-  R.Stats.WorklistPops = Pops;
-  finalizeStats();
-}
-
 bool Solver::run() {
   Timer Clock;
-  seedEntry();
+  // Ensure the null cs-object's type is recorded before any filtering.
+  registerCSObj(CSNullObjRaw, P.nullType());
+  addReachable(R.Ctxs.empty(), P.entryMethod());
 
   uint64_t Pops = 0;
   std::vector<uint32_t> Wave;
@@ -398,6 +375,15 @@ bool Solver::run() {
     Wave.clear();
   }
 
-  finishRun(Clock, Pops);
+  // Record the engine's true working set before flattening duplicates the
+  // representative sets back onto class members.
+  for (uint32_t I = 0; I < R.Nodes.size(); ++I)
+    R.Stats.WorkingSetBytes +=
+        R.Pts[I].memoryBytes() + Pending[I].memoryBytes();
+  flattenResult();
+
+  R.Stats.Seconds = Clock.seconds();
+  R.Stats.WorklistPops = Pops;
+  finalizeStats();
   return !R.Stats.TimedOut;
 }

@@ -30,7 +30,7 @@
 ///
 ///  - **Backend-provided cast filters.** The set-representation backend
 ///    (pta/SetBackend.h) turns a cast edge into one set intersection —
-///    against a lazily built per-type bitmap (chunked/MDE backends) or a
+///    against a lazily built per-type bitmap (chunked backend) or a
 ///    handful of [lo, hi) rank ranges (hierarchy backend) — instead of a
 ///    per-element subtype test.
 ///
@@ -47,23 +47,19 @@
 
 #include "pta/SolverCore.h"
 #include "support/DisjointSets.h"
-#include "support/Timer.h"
 
 #include <unordered_map>
 
 namespace mahjong::pta {
 
-/// The default fixpoint engine (SolverEngine::Wave). The wave-parallel
-/// engine (ParallelSolver.h) derives from it, reusing the entire wave
-/// infrastructure — storage layout, enqueueing, cycle collapsing,
-/// conditioning, flattening — and replacing only the per-wave sweep.
-class Solver : public SolverCore {
+/// The default fixpoint engine (SolverEngine::Wave).
+class Solver final : public SolverCore {
 public:
   using SolverCore::SolverCore;
 
   bool run() override;
 
-protected:
+private:
   struct Edge {
     PtrNodeId Target; ///< re-resolved through rep() at firing time
     TypeId Filter;    ///< cast target; invalid = unfiltered
@@ -86,14 +82,6 @@ protected:
   /// \p Set restricted to the cs-objects passing \p Filter, via the
   /// backend's filter structure (materialized on first use).
   PointsToSet filtered(const PointsToSet &Set, TypeId Filter);
-
-  /// Shared run() prologue: registers the null cs-object's type and seeds
-  /// the entry method under the empty context.
-  void seedEntry();
-
-  /// Shared run() epilogue: records the engine's working set, flattens
-  /// representatives onto members and fills the timing/pop stats.
-  void finishRun(const Timer &Clock, uint64_t Pops);
 
   /// Sorts a snapshotted wave by topological priority (ties by node id,
   /// making the sweep order a total, schedule-independent function of the

@@ -235,14 +235,14 @@ void SolverCore::finalizeStats() {
   R.Stats.NumCSMethods = R.CSM.numCSMethods();
   for (bool Reach : R.ReachableMethod)
     R.Stats.NumReachableMethods += Reach;
-  // SetBytes{,Private,Shared} are computed by the backend over the
-  // flattened solution, from live chunk counts only — a pure function of
-  // the computed sets, so engines that agree bit for bit report the same
-  // numbers (the MDE backend re-interns through a fresh interner for the
-  // same reason). The engine-owned capacity measurement (taken before the
-  // wave engines flatten representatives) lives in WorkingSetBytes.
-  Ops.finalizeResult(R);
-  for (uint32_t I = 0; I < R.Nodes.size(); ++I)
+  // SetBytes counts live chunks of the flattened solution only — a pure
+  // function of the computed sets, so engines that agree bit for bit
+  // report the same number. The engine-owned capacity measurement (taken
+  // before the wave engine flattens representatives) lives in
+  // WorkingSetBytes.
+  for (uint32_t I = 0; I < R.Nodes.size(); ++I) {
+    R.Stats.SetBytes += R.Pts[I].liveBytes();
     if (PTAResult::kindOf(R.Nodes.get(PtrNodeId(I))) == PTAResult::KindVar)
       R.Stats.VarPtsEntries += R.Pts[I].size();
+  }
 }

@@ -89,7 +89,7 @@ protected:
   const ir::ClassHierarchy &CH;
   const HeapAbstraction &Heap;
   ContextSelector &Selector;
-  SetRepOps &Ops; ///< set-representation strategy (filters, sharing, stats)
+  SetRepOps &Ops; ///< set-representation strategy (numbering, filters)
   PTAResult &R;
   double TimeBudget;
 

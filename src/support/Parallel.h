@@ -5,19 +5,17 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Shared chunking helpers over support::ThreadPool. Both parallel
-/// subsystems — the heap modeler's per-type bucket fan-out and the
-/// wave-parallel solver's shard sweep — split a dense index range into
-/// contiguous chunks, run each chunk as one pool task, and rely on
-/// ThreadPool::wait() to propagate the first worker exception. Keeping
-/// that slicing in one place means one tested code path for boundary
-/// arithmetic (empty ranges, more chunks than items) and one exception
-/// contract instead of per-subsystem copies.
+/// Chunking helpers over support::ThreadPool, used by the heap modeler's
+/// per-type bucket fan-out: split a dense index range into contiguous
+/// chunks, run each chunk as one pool task, and rely on ThreadPool::wait()
+/// to propagate the first worker exception. Keeping that slicing here
+/// means one tested code path for boundary arithmetic (empty ranges, more
+/// chunks than items) and one exception contract.
 ///
 /// Determinism note: chunk boundaries depend only on (N, NumChunks),
 /// never on thread scheduling, so a caller that derives per-chunk state
-/// (the solver's shard buffers) gets the same item-to-chunk assignment on
-/// every run and at every pool width.
+/// gets the same item-to-chunk assignment on every run and at every pool
+/// width.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -64,24 +62,6 @@ void parallelChunks(ThreadPool &Pool, size_t N, size_t NumChunks,
       continue;
     Pool.enqueue([&Body, C, Begin, End] { Body(C, Begin, End); });
   }
-  Pool.wait();
-}
-
-/// Launches exactly \p NumWorkers copies of \p Body(WorkerId) on \p Pool
-/// and blocks until all return, rethrowing the first worker exception.
-/// For cooperative schedulers — the wave-parallel solver's fused
-/// sweep/merge region — where each worker claims work items itself
-/// instead of receiving a pre-cut range: the pool sees opaque
-/// long-running tasks, the caller owns the claiming discipline.
-template <typename BodyFn>
-void parallelWorkers(ThreadPool &Pool, unsigned NumWorkers,
-                     const BodyFn &Body) {
-  if (NumWorkers <= 1) {
-    Body(0u);
-    return;
-  }
-  for (unsigned W = 0; W < NumWorkers; ++W)
-    Pool.enqueue([&Body, W] { Body(W); });
   Pool.wait();
 }
 

@@ -14,18 +14,6 @@
 /// quadratic in the heap. Iteration is in ascending element order and the
 /// whole structure is deterministic.
 ///
-/// Storage is dual-mode to support the MDE-style sharing backend
-/// (pta/SetBackend.h): a set either *owns* its chunk vector or holds a
-/// refcounted pointer to an immutable SharedChunks block that any number
-/// of sets (and the ChunkInterner) reference. Reads are representation-
-/// blind; every mutating operation first materializes a private copy
-/// (copy-on-write), except unionWith's adopt fast path — unioning a
-/// shared set into an empty one is a refcount bump, not a copy. freeze()
-/// converts an owned set into a shared one in place (no hashing, no
-/// global state), which is how solver deltas become cheaply fan-out-able.
-/// shared_ptr's atomic refcounts make cross-thread adopt/release safe;
-/// the chunk data itself is immutable once frozen.
-///
 //===----------------------------------------------------------------------===//
 
 #ifndef MAHJONG_SUPPORT_POINTSTOSET_H
@@ -35,7 +23,6 @@
 #include <bit>
 #include <concepts>
 #include <cstdint>
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -49,45 +36,30 @@ public:
     uint64_t Word;
   };
 
-  /// An immutable, refcounted run of chunks shared across sets. Count is
-  /// the element count, precomputed so adoption never rescans the words.
-  struct SharedChunks {
-    std::vector<Chunk> Chunks;
-    size_t Count = 0;
-  };
-  using SharedRef = std::shared_ptr<const SharedChunks>;
-
   PointsToSet() = default;
 
   /// Inserts \p Elem. \returns true if the set changed.
   bool insert(uint32_t Elem) {
     uint32_t Idx = Elem >> 6;
     uint64_t Bit = 1ull << (Elem & 63);
-    if (Shared) {
-      // Cheap pre-check against the shared block before paying for COW.
-      if (contains(Elem))
-        return false;
-      materialize();
-    }
     auto It = lowerBound(Idx);
-    if (It != Owned.end() && It->Index == Idx) {
+    if (It != Chunks.end() && It->Index == Idx) {
       if (It->Word & Bit)
         return false;
       It->Word |= Bit;
     } else {
-      Owned.insert(It, {Idx, Bit});
+      Chunks.insert(It, {Idx, Bit});
     }
     ++Count;
     return true;
   }
 
   bool contains(uint32_t Elem) const {
-    const std::vector<Chunk> &C = chunks();
     uint32_t Idx = Elem >> 6;
     auto It = std::lower_bound(
-        C.begin(), C.end(), Idx,
+        Chunks.begin(), Chunks.end(), Idx,
         [](const Chunk &Ch, uint32_t Key) { return Ch.Index < Key; });
-    return It != C.end() && It->Index == Idx &&
+    return It != Chunks.end() && It->Index == Idx &&
            (It->Word & (1ull << (Elem & 63)));
   }
 
@@ -102,43 +74,36 @@ public:
   /// union that only sets bits in existing chunks ORs them in place; only
   /// genuinely new chunks shift the window right (backward in-place
   /// merge, amortized by vector capacity doubling).
-  ///
-  /// Sharing fast paths: unioning into an empty set copies Other — a
-  /// refcount bump when Other is frozen — and unioning a set with itself
-  /// (same shared block) is a no-op.
   bool unionWith(const PointsToSet &Other) {
     if (Other.empty())
       return false;
-    if (Shared && Shared == Other.Shared)
-      return false; // identical block: nothing to add
     if (empty()) {
-      *this = Other; // adopts Other's block when shared
+      *this = Other;
       return true;
     }
-    const std::vector<Chunk> &OC = Other.chunks();
-    materialize();
+    const std::vector<Chunk> &OC = Other.Chunks;
     // Fast path: all new chunks beyond our current maximum.
-    if (OC.front().Index > Owned.back().Index) {
-      Owned.insert(Owned.end(), OC.begin(), OC.end());
+    if (OC.front().Index > Chunks.back().Index) {
+      Chunks.insert(Chunks.end(), OC.begin(), OC.end());
       Count += Other.Count;
       return true;
     }
     // Everything below Other's first chunk index is untouched by the join.
     size_t Lo =
-        static_cast<size_t>(lowerBound(OC.front().Index) - Owned.begin());
+        static_cast<size_t>(lowerBound(OC.front().Index) - Chunks.begin());
     // Pre-scan the window: does Other contribute any new bit, and how
     // many chunks does it add that we lack entirely?
     size_t I = Lo, J = 0, NewChunks = 0;
     bool Changed = false;
     while (J < OC.size()) {
-      if (I >= Owned.size() || OC[J].Index < Owned[I].Index) {
+      if (I >= Chunks.size() || OC[J].Index < Chunks[I].Index) {
         ++NewChunks;
         ++J;
         Changed = true;
-      } else if (Owned[I].Index < OC[J].Index) {
+      } else if (Chunks[I].Index < OC[J].Index) {
         ++I;
       } else {
-        Changed |= (OC[J].Word & ~Owned[I].Word) != 0;
+        Changed |= (OC[J].Word & ~Chunks[I].Word) != 0;
         ++I;
         ++J;
       }
@@ -149,10 +114,10 @@ public:
       // Bits land only in chunks we already have: OR them in, in place.
       I = Lo;
       for (const Chunk &C : OC) {
-        while (Owned[I].Index < C.Index)
+        while (Chunks[I].Index < C.Index)
           ++I;
-        uint64_t Added = C.Word & ~Owned[I].Word;
-        Owned[I].Word |= Added;
+        uint64_t Added = C.Word & ~Chunks[I].Word;
+        Chunks[I].Word |= Added;
         Count += std::popcount(Added);
         ++I;
       }
@@ -163,60 +128,57 @@ public:
     // or one of the NewChunks inserts), so the prefix [Lo, Ri) is already
     // in its final position and the merge stops at the window, not at the
     // start of the array.
-    size_t OldSize = Owned.size();
-    Owned.resize(OldSize + NewChunks);
-    size_t W = Owned.size(), Ri = OldSize;
+    size_t OldSize = Chunks.size();
+    Chunks.resize(OldSize + NewChunks);
+    size_t W = Chunks.size(), Ri = OldSize;
     J = OC.size();
     while (J > 0) {
-      if (Ri > Lo && Owned[Ri - 1].Index > OC[J - 1].Index) {
-        Owned[--W] = Owned[--Ri];
-      } else if (Ri > Lo && Owned[Ri - 1].Index == OC[J - 1].Index) {
-        uint64_t Added = OC[J - 1].Word & ~Owned[Ri - 1].Word;
+      if (Ri > Lo && Chunks[Ri - 1].Index > OC[J - 1].Index) {
+        Chunks[--W] = Chunks[--Ri];
+      } else if (Ri > Lo && Chunks[Ri - 1].Index == OC[J - 1].Index) {
+        uint64_t Added = OC[J - 1].Word & ~Chunks[Ri - 1].Word;
         Count += std::popcount(Added);
         --W;
         --Ri;
         --J;
-        Owned[W] = {Owned[Ri].Index, Owned[Ri].Word | Added};
+        Chunks[W] = {Chunks[Ri].Index, Chunks[Ri].Word | Added};
       } else {
         --W;
         --J;
-        Owned[W] = OC[J];
-        Count += std::popcount(Owned[W].Word);
+        Chunks[W] = OC[J];
+        Count += std::popcount(Chunks[W].Word);
       }
     }
     return true;
   }
 
   /// Intersects this set with \p Other in place. Like unionWith, a
-  /// merge-join over the chunk arrays; allocates nothing beyond the COW
-  /// materialization (chunks are compacted in place).
+  /// merge-join over the chunk arrays; allocates nothing (chunks are
+  /// compacted in place).
   void intersectWith(const PointsToSet &Other) {
     if (empty())
       return;
-    if (Shared && Shared == Other.Shared)
-      return; // identical block: intersection is the identity
     if (Other.empty()) {
       clear();
       return;
     }
-    materialize();
-    const std::vector<Chunk> &OC = Other.chunks();
+    const std::vector<Chunk> &OC = Other.Chunks;
     size_t Kept = 0, J = 0;
     size_t NewCount = 0;
-    for (size_t I = 0; I < Owned.size(); ++I) {
-      while (J < OC.size() && OC[J].Index < Owned[I].Index)
+    for (size_t I = 0; I < Chunks.size(); ++I) {
+      while (J < OC.size() && OC[J].Index < Chunks[I].Index)
         ++J;
       if (J >= OC.size())
         break;
-      if (OC[J].Index != Owned[I].Index)
+      if (OC[J].Index != Chunks[I].Index)
         continue;
-      uint64_t Word = Owned[I].Word & OC[J].Word;
+      uint64_t Word = Chunks[I].Word & OC[J].Word;
       if (Word) {
-        Owned[Kept++] = {Owned[I].Index, Word};
+        Chunks[Kept++] = {Chunks[I].Index, Word};
         NewCount += std::popcount(Word);
       }
     }
-    Owned.resize(Kept);
+    Chunks.resize(Kept);
     Count = NewCount;
   }
 
@@ -232,11 +194,10 @@ public:
                       const PointsToSet *Overflow = nullptr) {
     if (empty())
       return;
-    materialize();
     const std::vector<Chunk> *OC =
-        Overflow && !Overflow->empty() ? &Overflow->chunks() : nullptr;
+        Overflow && !Overflow->empty() ? &Overflow->Chunks : nullptr;
     size_t Kept = 0, NewCount = 0, RI = 0, OI = 0;
-    for (const Chunk &C : Owned) {
+    for (const Chunk &C : Chunks) {
       uint64_t Base = uint64_t(C.Index) << 6;
       uint64_t Mask = 0;
       while (RI < Ranges.size() && Ranges[RI].second <= Base)
@@ -256,18 +217,18 @@ public:
       }
       uint64_t Word = C.Word & Mask;
       if (Word) {
-        Owned[Kept++] = {C.Index, Word};
+        Chunks[Kept++] = {C.Index, Word};
         NewCount += std::popcount(Word);
       }
     }
-    Owned.resize(Kept);
+    Chunks.resize(Kept);
     Count = NewCount;
   }
 
   /// \returns true if this set and \p Other share at least one element.
   /// A merge-join scan with early exit; never allocates.
   bool anyCommon(const PointsToSet &Other) const {
-    const std::vector<Chunk> &A = chunks(), &B = Other.chunks();
+    const std::vector<Chunk> &A = Chunks, &B = Other.Chunks;
     size_t I = 0, J = 0;
     while (I < A.size() && J < B.size()) {
       if (A[I].Index < B[J].Index)
@@ -287,16 +248,16 @@ public:
   /// Computes \p Other minus this set (the elements of Other we lack).
   PointsToSet differenceFrom(const PointsToSet &Other) const {
     PointsToSet Diff;
-    const std::vector<Chunk> &A = chunks();
+    const std::vector<Chunk> &A = Chunks;
     size_t I = 0;
-    for (const Chunk &C : Other.chunks()) {
+    for (const Chunk &C : Other.Chunks) {
       while (I < A.size() && A[I].Index < C.Index)
         ++I;
       uint64_t Word = C.Word;
       if (I < A.size() && A[I].Index == C.Index)
         Word &= ~A[I].Word;
       if (Word) {
-        Diff.Owned.push_back({C.Index, Word});
+        Diff.Chunks.push_back({C.Index, Word});
         Diff.Count += std::popcount(Word);
       }
     }
@@ -306,64 +267,21 @@ public:
   bool empty() const { return Count == 0; }
   size_t size() const { return Count; }
 
-  /// Heap bytes backing this set — the owned vector's *capacity*, or the
-  /// full shared block for a frozen set (each referencing set counts the
-  /// block; WorkingSetBytes is an engine-owned gauge, not a deduplicated
-  /// census). The unit of PTAStats::WorkingSetBytes.
-  size_t memoryBytes() const {
-    return Shared ? Shared->Chunks.capacity() * sizeof(Chunk)
-                  : Owned.capacity() * sizeof(Chunk);
-  }
+  /// Heap bytes backing this set — the chunk vector's *capacity*. The
+  /// unit of PTAStats::WorkingSetBytes.
+  size_t memoryBytes() const { return Chunks.capacity() * sizeof(Chunk); }
 
-  /// Bytes of live chunk storage: chunks() × sizeof(Chunk), the data a
+  /// Bytes of live chunk storage: chunk count × sizeof(Chunk), the data a
   /// set's contents actually occupy. A pure function of the contents —
   /// capacity slack is deliberately *excluded* (that is memoryBytes() /
   /// WorkingSetBytes territory), so engines that compute the same
   /// solution report the same number (PTAStats::SetBytes; pinned by
-  /// tests/support/PointsToSetTest.cpp). Sharing-blind: a shared block
-  /// counts its full size in every referencing set — the deduplicated
-  /// split lives in PTAStats::SetBytesPrivate/SetBytesShared.
-  size_t liveBytes() const { return chunks().size() * sizeof(Chunk); }
+  /// tests/support/PointsToSetTest.cpp).
+  size_t liveBytes() const { return Chunks.size() * sizeof(Chunk); }
 
   void clear() {
-    Owned.clear();
-    Shared.reset();
+    Chunks.clear();
     Count = 0;
-  }
-
-  // --- Sharing surface (pta/SetBackend.h, support/ChunkInterner.h) ---
-
-  /// The chunk array, whichever mode stores it. Stable until the next
-  /// mutation of (or assignment to) this set.
-  const std::vector<Chunk> &chunks() const {
-    return Shared ? Shared->Chunks : Owned;
-  }
-
-  bool isShared() const { return Shared != nullptr; }
-
-  /// The shared block, or null when owned. Block identity is content
-  /// identity while an interner deduplicates blocks.
-  const SharedRef &block() const { return Shared; }
-
-  /// Points this set at \p Block (refcount bump; previous storage
-  /// released). \p Block may be null only if it represents emptiness.
-  void adopt(SharedRef Block) {
-    Owned.clear();
-    Count = Block ? Block->Count : 0;
-    Shared = std::move(Block);
-  }
-
-  /// Converts an owned, nonempty set into a shared one in place: moves
-  /// the chunk vector into a fresh block. No hashing and no global state
-  /// — safe from any thread. No-op on empty or already-shared sets.
-  void freeze() {
-    if (Shared || Owned.empty())
-      return;
-    auto Block = std::make_shared<SharedChunks>();
-    Block->Chunks = std::move(Owned);
-    Block->Count = Count;
-    Owned.clear();
-    Shared = std::move(Block);
   }
 
   /// Forward iterator over the elements in ascending order.
@@ -410,11 +328,8 @@ public:
     uint64_t Word = 0;
   };
 
-  const_iterator begin() const { return const_iterator(&chunks(), 0); }
-  const_iterator end() const {
-    const std::vector<Chunk> &C = chunks();
-    return const_iterator(&C, C.size());
-  }
+  const_iterator begin() const { return const_iterator(&Chunks, 0); }
+  const_iterator end() const { return const_iterator(&Chunks, Chunks.size()); }
 
   /// Materializes the elements as a sorted vector.
   std::vector<uint32_t> toVector() const {
@@ -426,9 +341,7 @@ public:
   }
 
   friend bool operator==(const PointsToSet &A, const PointsToSet &B) {
-    if (A.Shared && A.Shared == B.Shared)
-      return true; // same immutable block
-    const std::vector<Chunk> &CA = A.chunks(), &CB = B.chunks();
+    const std::vector<Chunk> &CA = A.Chunks, &CB = B.Chunks;
     if (A.Count != B.Count || CA.size() != CB.size())
       return false;
     for (size_t I = 0; I < CA.size(); ++I)
@@ -438,25 +351,13 @@ public:
   }
 
 private:
-  /// Copy-on-write: turns a shared set into an owned private copy. Every
-  /// mutating operation funnels through here (or through adopt/clear).
-  void materialize() {
-    if (!Shared)
-      return;
-    Owned = Shared->Chunks;
-    Shared.reset();
-  }
-
   std::vector<Chunk>::iterator lowerBound(uint32_t Idx) {
     return std::lower_bound(
-        Owned.begin(), Owned.end(), Idx,
+        Chunks.begin(), Chunks.end(), Idx,
         [](const Chunk &C, uint32_t Key) { return C.Index < Key; });
   }
 
-  /// Owned storage; empty whenever Shared is set.
-  std::vector<Chunk> Owned;
-  /// Shared immutable storage; null whenever the set owns its chunks.
-  SharedRef Shared;
+  std::vector<Chunk> Chunks;
   size_t Count = 0;
 };
 

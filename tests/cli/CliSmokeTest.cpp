@@ -115,17 +115,28 @@ TEST(CliSmoke, BadFlagValuesAreUsageErrors) {
   EXPECT_EQ(R.Exit, cli::ExitUsage);
   EXPECT_NE(R.Err.find("--budget"), std::string::npos) << R.Err;
 
-  R = run({"analyze", Mj, "--solver", "turbo"});
-  EXPECT_EQ(R.Exit, cli::ExitUsage);
-  EXPECT_NE(R.Err.find("--solver"), std::string::npos) << R.Err;
+  // Engine and backend errors name the flag and list what it accepts.
+  for (const char *Engine : {"turbo", "parallel"}) {
+    R = run({"analyze", Mj, "--solver", Engine});
+    EXPECT_EQ(R.Exit, cli::ExitUsage) << Engine;
+    EXPECT_NE(R.Err.find("--solver"), std::string::npos) << R.Err;
+    EXPECT_NE(R.Err.find("expected auto|wave|naive"), std::string::npos)
+        << R.Err;
+  }
 
-  R = run({"analyze", Mj, "--threads", "0"});
-  EXPECT_EQ(R.Exit, cli::ExitUsage);
-  EXPECT_NE(R.Err.find("--threads"), std::string::npos) << R.Err;
+  for (const char *Backend : {"bogus", "mde"}) {
+    R = run({"analyze", Mj, "--set-rep", Backend});
+    EXPECT_EQ(R.Exit, cli::ExitUsage) << Backend;
+    EXPECT_NE(R.Err.find("--set-rep"), std::string::npos) << R.Err;
+    EXPECT_NE(R.Err.find("expected chunked|hierarchy"), std::string::npos)
+        << R.Err;
+  }
 
-  R = run({"analyze", Mj, "--threads", "banana"});
+  // Both engines are single-threaded: there is no --threads flag.
+  R = run({"analyze", Mj, "--threads", "2"});
   EXPECT_EQ(R.Exit, cli::ExitUsage);
-  EXPECT_NE(R.Err.find("--threads"), std::string::npos) << R.Err;
+  EXPECT_NE(R.Err.find("unknown option '--threads'"), std::string::npos)
+      << R.Err;
 
   R = run({"dot-fpg", Mj, "notanumber"});
   EXPECT_EQ(R.Exit, cli::ExitUsage);
@@ -150,17 +161,14 @@ TEST(CliSmoke, SolverEnginesAgreeOnClientCounts) {
   EXPECT_NE(W.Out.find("solver (wave)"), std::string::npos) << W.Out;
   EXPECT_NE(N.Out.find("solver (naive)"), std::string::npos) << N.Out;
 
-  // The parallel engine agrees too, at an explicit thread count, and
-  // surfaces its extra stats line.
-  CliRun P = run({"analyze", Mj, "--analysis", "2obj", "--heap", "site",
-                  "--solver", "parallel", "--threads", "4"});
-  ASSERT_EQ(P.Exit, cli::ExitOk) << P.Err;
-  EXPECT_EQ(Metrics(W.Out), Metrics(P.Out));
-  EXPECT_NE(P.Out.find("solver (parallel)"), std::string::npos) << P.Out;
-  EXPECT_NE(P.Out.find("parallel waves:"), std::string::npos) << P.Out;
-  EXPECT_NE(P.Out.find("shard imbalance"), std::string::npos) << P.Out;
-  // Serial engines do not print the parallel-only line.
-  EXPECT_EQ(W.Out.find("parallel waves:"), std::string::npos) << W.Out;
+  // The hierarchy set backend agrees too, under either engine.
+  for (const char *Engine : {"wave", "naive"}) {
+    CliRun H = run({"analyze", Mj, "--analysis", "2obj", "--heap", "site",
+                    "--solver", Engine, "--set-rep", "hierarchy"});
+    ASSERT_EQ(H.Exit, cli::ExitOk) << H.Err;
+    EXPECT_EQ(Metrics(W.Out), Metrics(H.Out)) << Engine;
+    EXPECT_NE(H.Out.find("set rep (hierarchy)"), std::string::npos) << H.Out;
+  }
 
   // The auto default agrees as well, and reports its resolved choice as
   // `solver (auto:<engine>)`.

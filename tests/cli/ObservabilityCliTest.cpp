@@ -143,19 +143,6 @@ TEST(ObservabilityCli, AnalyzeWritesValidTraceAndMetrics) {
   EXPECT_NE(MetricsBody.find("\"mahjong.objects\""), std::string::npos);
 }
 
-TEST(ObservabilityCli, ParallelSolverTraceHasWorkerSpans) {
-  std::string Mj = writeFile("obs_par.mj", FixtureSrc);
-  std::string Trace = testing::TempDir() + "/obs_par_trace.json";
-  CliRun R = run({"analyze", Mj, "--analysis", "ci", "--heap", "site",
-                  "--solver", "parallel", "--threads", "2", "--trace-out",
-                  Trace});
-  ASSERT_EQ(R.Exit, cli::ExitOk) << R.Err;
-  std::string Body = readFile(Trace);
-  EXPECT_NE(Body.find("\"solve/parallel\""), std::string::npos);
-  EXPECT_NE(Body.find("\"pwave\""), std::string::npos);
-  EXPECT_NE(Body.find("\"sweep-chunk\""), std::string::npos);
-}
-
 TEST(ObservabilityCli, MetricsOutSpeaksPrometheusForPromFiles) {
   std::string Mj = writeFile("obs_prom.mj", FixtureSrc);
   std::string Metrics = testing::TempDir() + "/obs_metrics.prom";
@@ -216,9 +203,6 @@ TEST(ObservabilityCli, StatsJsonGolden) {
     "clients.poly_call_sites": 1,
     "clients.reachable_methods": 3,
     "clients.total_casts": 1,
-    "pta.deltas_buffered": 0,
-    "pta.deltas_dropped": 0,
-    "pta.deltas_merged": 0,
     "pta.filter_bitmap_hits": 1,
     "pta.nodes_collapsed": 0,
     "pta.num_contexts": 1,
@@ -226,14 +210,10 @@ TEST(ObservabilityCli, StatsJsonGolden) {
     "pta.num_cs_objs": 3,
     "pta.num_cs_vars": 14,
     "pta.num_reachable_methods": 3,
-    "pta.parallel_waves": 0,
     "pta.sccs_collapsed": 0,
     "pta.set_bytes": 176,
-    "pta.set_bytes_private": 176,
-    "pta.set_bytes_shared": 0,
     "pta.timed_out": 0,
     "pta.var_pts_entries": 12,
-    "pta.work_steals": 0,
     "pta.working_set_bytes": 176,
     "pta.worklist_pops": 11
   },
@@ -241,9 +221,7 @@ TEST(ObservabilityCli, StatsJsonGolden) {
     "phase.cha_seconds": 0,
     "phase.main_analysis_seconds": 0,
     "phase.parse_seconds": 0,
-    "pta.seconds": 0,
-    "pta.shard_imbalance_max_pct": 0,
-    "pta.shard_imbalance_pct": 0
+    "pta.seconds": 0
   },
   "histograms": {
     "pta.wave_us": {

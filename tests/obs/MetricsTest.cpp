@@ -189,13 +189,7 @@ TEST(Metrics, ExportStatsCoversEveryPTAStatsField) {
   S.NodesCollapsed = 9;
   S.FilterBitmapHits = 10;
   S.SetBytes = 11;
-  S.SetBytesPrivate = 21;
-  S.SetBytesShared = 22;
   S.WorkingSetBytes = 12;
-  S.ParallelWaves = 13;
-  S.DeltasBuffered = 14;
-  S.DeltasMerged = 15;
-  S.ShardImbalancePct = 16.5;
 
   MetricsRegistry Reg;
   pta::exportStats(S, Reg);
@@ -211,14 +205,8 @@ TEST(Metrics, ExportStatsCoversEveryPTAStatsField) {
   EXPECT_EQ(Reg.counter("pta.nodes_collapsed").value(), 9u);
   EXPECT_EQ(Reg.counter("pta.filter_bitmap_hits").value(), 10u);
   EXPECT_EQ(Reg.counter("pta.set_bytes").value(), 11u);
-  EXPECT_EQ(Reg.counter("pta.set_bytes_private").value(), 21u);
-  EXPECT_EQ(Reg.counter("pta.set_bytes_shared").value(), 22u);
   EXPECT_EQ(Reg.counter("pta.working_set_bytes").value(), 12u);
-  EXPECT_EQ(Reg.counter("pta.parallel_waves").value(), 13u);
-  EXPECT_EQ(Reg.counter("pta.deltas_buffered").value(), 14u);
-  EXPECT_EQ(Reg.counter("pta.deltas_merged").value(), 15u);
   EXPECT_DOUBLE_EQ(Reg.gauge("pta.seconds").value(), 1.25);
-  EXPECT_DOUBLE_EQ(Reg.gauge("pta.shard_imbalance_pct").value(), 16.5);
 }
 
 } // namespace

@@ -5,12 +5,11 @@
 //===----------------------------------------------------------------------===//
 //
 // Adaptive engine selection (SolverEngine::Auto). The chooser is a pure
-// function of (numVars, numObjs, hardware threads): small constraint
-// systems go to the naive reference (it beats wave below the cutoff on
-// every checked-in profile), large ones to wave, and very large ones to
-// the parallel engine when hardware is actually available. Running under
-// Auto must be observationally identical to running the chosen engine
-// explicitly — same digest, EngineName reporting the resolved choice.
+// function of (numVars, numObjs): small constraint systems go to the
+// naive reference (it beats wave below the cutoff on every checked-in
+// profile), large ones to wave. Running under Auto must be
+// observationally identical to running the chosen engine explicitly —
+// same digest, EngineName reporting the resolved choice.
 //
 //===----------------------------------------------------------------------===//
 
@@ -26,48 +25,32 @@ using namespace mahjong::pta;
 
 TEST(EngineSelect, SmallSystemsPickNaive) {
   // A toy program: a few hundred vars, a handful of objects.
-  EXPECT_EQ(chooseSolverEngine(/*NumVars=*/300, /*NumObjs=*/40,
-                               /*HardwareThreads=*/8),
+  EXPECT_EQ(chooseSolverEngine(/*NumVars=*/300, /*NumObjs=*/40),
             SolverEngine::Naive);
-  EXPECT_EQ(chooseSolverEngine(0, 0, 1), SolverEngine::Naive);
+  EXPECT_EQ(chooseSolverEngine(0, 0), SolverEngine::Naive);
 }
 
 TEST(EngineSelect, LargeSystemsPickWave) {
-  // The eclipse-at-full-scale class on a single core: wave (collapsing
-  // pays), never parallel (no workers to use).
-  EXPECT_EQ(chooseSolverEngine(/*NumVars=*/500'000, /*NumObjs=*/100'000,
-                               /*HardwareThreads=*/1),
+  // The eclipse-at-full-scale class: wave (collapsing pays).
+  EXPECT_EQ(chooseSolverEngine(/*NumVars=*/500'000, /*NumObjs=*/100'000),
             SolverEngine::Wave);
-  // Mid-size on many cores: still wave — parallel overhead only
-  // amortizes on very large systems.
-  EXPECT_EQ(chooseSolverEngine(/*NumVars=*/200'000, /*NumObjs=*/20'000,
-                               /*HardwareThreads=*/16),
+  EXPECT_EQ(chooseSolverEngine(/*NumVars=*/200'000, /*NumObjs=*/20'000),
             SolverEngine::Wave);
-}
-
-TEST(EngineSelect, HugeSystemsWithRealConcurrencyPickParallel) {
-  EXPECT_EQ(chooseSolverEngine(/*NumVars=*/2'000'000, /*NumObjs=*/400'000,
-                               /*HardwareThreads=*/8),
-            SolverEngine::ParallelWave);
-  // The same system on a 1-core box must not: sharding with one worker
-  // is pure overhead.
-  EXPECT_EQ(chooseSolverEngine(/*NumVars=*/2'000'000, /*NumObjs=*/400'000,
-                               /*HardwareThreads=*/1),
+  // Far beyond every profile: still wave.
+  EXPECT_EQ(chooseSolverEngine(/*NumVars=*/2'000'000, /*NumObjs=*/400'000),
             SolverEngine::Wave);
 }
 
 TEST(EngineSelect, ChoiceIsMonotoneInWork) {
   // Growing the system never moves the choice backwards toward naive:
-  // scan a work ramp and require naive* -> wave* (parallel only at the
-  // top, and only with threads).
+  // scan a work ramp and require naive* -> wave*.
   bool SeenWave = false;
   for (uint64_t Vars = 1'000; Vars <= 3'000'000; Vars *= 2) {
-    SolverEngine E = chooseSolverEngine(Vars, Vars / 8, /*Threads=*/1);
+    SolverEngine E = chooseSolverEngine(Vars, Vars / 8);
     if (E == SolverEngine::Wave)
       SeenWave = true;
     if (SeenWave)
       EXPECT_NE(E, SolverEngine::Naive) << "regressed at " << Vars;
-    EXPECT_NE(E, SolverEngine::ParallelWave) << "parallel on 1 thread";
   }
   EXPECT_TRUE(SeenWave);
 }
@@ -80,27 +63,19 @@ TEST(EngineSelect, AutoRunMatchesExplicitChoiceBitForBit) {
 
     AnalysisOptions AutoOpts;
     AutoOpts.Engine = SolverEngine::Auto;
-    AutoOpts.SolverThreads = 2;
     auto AutoR = runPointerAnalysis(*P, CH, AutoOpts);
 
     // EngineName reports the *resolved* engine, never "auto".
-    EXPECT_TRUE(AutoR->EngineName == "naive" ||
-                AutoR->EngineName == "wave" ||
-                AutoR->EngineName == "parallel")
+    EXPECT_TRUE(AutoR->EngineName == "naive" || AutoR->EngineName == "wave")
         << AutoR->EngineName;
-    // The choice is reproducible (pure function of program + threads)...
-    EXPECT_EQ(solverEngineName(chooseSolverEngine(*P, 2)),
-              AutoR->EngineName);
+    // The choice is reproducible (pure function of the program)...
+    EXPECT_EQ(solverEngineName(chooseSolverEngine(*P)), AutoR->EngineName);
 
     // ...and running the named engine explicitly gives the identical
     // result.
     AnalysisOptions ExplicitOpts;
-    ExplicitOpts.Engine = AutoR->EngineName == "naive"
-                              ? SolverEngine::Naive
-                          : AutoR->EngineName == "parallel"
-                              ? SolverEngine::ParallelWave
-                              : SolverEngine::Wave;
-    ExplicitOpts.SolverThreads = 2;
+    ExplicitOpts.Engine = AutoR->EngineName == "naive" ? SolverEngine::Naive
+                                                       : SolverEngine::Wave;
     auto ExplicitR = runPointerAnalysis(*P, CH, ExplicitOpts);
     EXPECT_EQ(ExplicitR->EngineName, AutoR->EngineName);
     EXPECT_EQ(canonicalResultDigest(*ExplicitR),
@@ -114,12 +89,10 @@ TEST(EngineSelect, ExplicitEnginesReportTheirOwnName) {
   const std::pair<SolverEngine, const char *> Cases[] = {
       {SolverEngine::Wave, "wave"},
       {SolverEngine::Naive, "naive"},
-      {SolverEngine::ParallelWave, "parallel"},
   };
   for (auto [Engine, Expected] : Cases) {
     AnalysisOptions Opts;
     Opts.Engine = Engine;
-    Opts.SolverThreads = 2;
     auto R = runPointerAnalysis(*P, CH, Opts);
     EXPECT_EQ(R->EngineName, Expected);
   }

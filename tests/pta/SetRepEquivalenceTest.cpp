@@ -9,15 +9,11 @@
 // canonical form, across all workload profiles. Alongside the digest
 // race, the SetBytes accounting contract is pinned:
 //
-//  - SetBytes == SetBytesPrivate + SetBytesShared, always;
-//  - the unshared backends (chunked, hierarchy) report SetBytesShared
-//    == 0 and SetBytes == the historical sum-of-liveBytes;
+//  - SetBytes == the sum of liveBytes over the final solution;
 //  - the hierarchy backend's SetBytes is strictly engine-invariant (its
 //    prepare() pins cs-object numbering, so chunk packing is a pure
-//    function of the solution); for the discovery-order backends wave
-//    and parallel must agree exactly (they share one discovery order by
-//    construction — naive's packing may differ by a few chunks);
-//  - MDE's deduplicated footprint never exceeds the chunked sum.
+//    function of the solution); under the discovery-order chunked
+//    backend naive's packing may differ from wave's by a few chunks.
 //
 //===----------------------------------------------------------------------===//
 
@@ -35,9 +31,9 @@ using namespace mahjong::test;
 
 namespace {
 
-constexpr SetRep Reps[] = {SetRep::Chunked, SetRep::Hierarchy, SetRep::Mde};
-constexpr SolverEngine EnginesUnderTest[] = {
-    SolverEngine::Naive, SolverEngine::Wave, SolverEngine::ParallelWave};
+constexpr SetRep Reps[] = {SetRep::Chunked, SetRep::Hierarchy};
+constexpr SolverEngine EnginesUnderTest[] = {SolverEngine::Naive,
+                                             SolverEngine::Wave};
 
 std::unique_ptr<PTAResult> run(const ir::Program &P,
                                const ir::ClassHierarchy &CH, SolverEngine E,
@@ -62,9 +58,8 @@ TEST_P(SetRepProfile, AllBackendsAllEnginesAgreeOnCI) {
   bool HaveRef = false;
   for (SetRep Rep : Reps) {
     // Per backend, SetBytes per engine. Hierarchy pins cs-object
-    // numbering in prepare(), so all three engines must report the same
-    // bytes; chunked/mde inherit each engine's discovery order, where
-    // only wave and parallel are guaranteed to coincide.
+    // numbering in prepare(), so both engines must report the same bytes;
+    // chunked inherits each engine's discovery order.
     uint64_t WaveSetBytes = 0, NaiveSetBytes = 0;
     for (SolverEngine E : EnginesUnderTest) {
       auto R = run(*P, CH, E, Rep);
@@ -77,18 +72,14 @@ TEST_P(SetRepProfile, AllBackendsAllEnginesAgreeOnCI) {
         HaveRef = true;
       }
       EXPECT_EQ(D, RefDigest) << Label;
-      EXPECT_EQ(R->Stats.SetBytes,
-                R->Stats.SetBytesPrivate + R->Stats.SetBytesShared)
-          << Label;
-      if (Rep != SetRep::Mde)
-        EXPECT_EQ(R->Stats.SetBytesShared, 0u) << Label;
+      uint64_t SumLive = 0;
+      for (const PointsToSet &S : R->Pts)
+        SumLive += S.liveBytes();
+      EXPECT_EQ(R->Stats.SetBytes, SumLive) << Label;
       if (E == SolverEngine::Naive)
         NaiveSetBytes = R->Stats.SetBytes;
-      if (E == SolverEngine::Wave)
+      else
         WaveSetBytes = R->Stats.SetBytes;
-      if (E == SolverEngine::ParallelWave)
-        EXPECT_EQ(R->Stats.SetBytes, WaveSetBytes)
-            << Label << ": wave and parallel share one discovery order";
     }
     if (Rep == SetRep::Hierarchy)
       EXPECT_EQ(NaiveSetBytes, WaveSetBytes)
@@ -106,7 +97,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(SetRepEquivalence, ContextSensitivePoliciesAgreeAcrossBackends) {
   // Context-sensitive heaps exercise what ci cannot: hierarchy overflow
-  // objects and MDE sharing across per-context duplicates.
+  // objects born after the ranked block.
   auto P = workload::buildBenchmarkProgram("fop", 0.03);
   ir::ClassHierarchy CH(*P);
   for (auto [Kind, K] : {std::pair{ContextKind::Object, 2u},
@@ -125,23 +116,6 @@ TEST(SetRepEquivalence, ContextSensitivePoliciesAgreeAcrossBackends) {
           << analysisName(Kind, K) << "/" << setRepName(Rep);
     }
   }
-}
-
-TEST(SetRepEquivalence, MdeActuallyShares) {
-  // On a real profile the MDE final interning must find duplicate sets —
-  // otherwise the backend is a silent no-op — and the deduplicated
-  // footprint must undercut the chunked sum.
-  auto P = workload::buildBenchmarkProgram("antlr", 0.05);
-  ir::ClassHierarchy CH(*P);
-  auto Chunked = run(*P, CH, SolverEngine::Wave, SetRep::Chunked);
-  auto Mde = run(*P, CH, SolverEngine::Wave, SetRep::Mde);
-  EXPECT_GT(Mde->Stats.SetBytesShared, 0u);
-  EXPECT_LT(Mde->Stats.SetBytes, Chunked->Stats.SetBytes);
-  // Chunked keeps the historical meaning: SetBytes == sum of liveBytes.
-  uint64_t SumLive = 0;
-  for (const PointsToSet &S : Chunked->Pts)
-    SumLive += S.liveBytes();
-  EXPECT_EQ(Chunked->Stats.SetBytes, SumLive);
 }
 
 TEST(SetRepEquivalence, CastHeavyProgramFiltersIdentically) {

@@ -4,25 +4,27 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Differential fuzzing of the set-representation backends: seeded random
-// operation sequences over a pool of sets, executed through each
-// backend's unionInto/shareDelta surface (the paths the solvers use) and
-// checked element-for-element against std::set<uint32_t> oracles after
-// every step. The element distribution deliberately clusters around
-// chunk boundaries (63/64/65, 127/128) and spreads sparsely so unions
-// hit all three internal paths: the beyond-the-end append, the in-chunk
-// OR, and the backward merge with new interior chunks — plus the
-// MDE-only adopt and memo paths, which only trigger on frozen blocks.
-//
-// The suite runs under the ASan and TSan CI legs via the ordinary unit
-// suite invocation (ctest), where the COW/freeze/adopt lifetime rules
-// are what the sanitizers chew on.
+// Differential fuzzing of the set operations the solvers run, under each
+// set-representation backend: seeded random operation sequences over a
+// pool of sets — unions, differences, intersections and the backend's
+// cast filter (materializeFilter/applyFilter) — checked element-for-
+// element against std::set<uint32_t> oracles after every step. The
+// element distribution deliberately clusters around chunk boundaries
+// (63/64/65, 127/128) and spreads sparsely so unions hit all three
+// internal paths: the beyond-the-end append, the in-chunk OR, and the
+// backward merge with new interior chunks. Every element is registered
+// as a cs-object the first time it is drawn, so filters see objects born
+// both before and after they materialize; under the hierarchy backend
+// the low ids are its ranked block and the rest ride in the per-filter
+// overflow bitmap.
 //
 //===----------------------------------------------------------------------===//
 
 #include "pta/SetBackend.h"
 
 #include "../TestUtil.h"
+
+#include "pta/PointerAnalysis.h"
 
 #include <gtest/gtest.h>
 
@@ -35,13 +37,21 @@ using namespace mahjong::test;
 
 namespace {
 
-/// The smallest valid program: the backends only need a Program and
-/// ClassHierarchy to exist for set-op fuzzing (filters are exercised by
-/// HierarchyOrderTest and the equivalence suite against real heaps).
+/// A small hierarchy: filters through A pass a subtree, through D a leaf,
+/// through E an unrelated class.
 constexpr const char *TinyProgram = R"(
+  class A { }
+  class B extends A { }
+  class C extends B { }
+  class D extends A { }
+  class E { }
   class Main {
     static method main() {
-      a = new Main;
+      a = new A;
+      b = new B;
+      c = new C;
+      d = new D;
+      e = new E;
     }
   }
 )";
@@ -50,6 +60,11 @@ struct BackendCase {
   const char *Name;
   SetRep Rep;
 };
+
+/// gtest's default byte dump of a BackendCase shows the address of Name,
+/// which moves from run to run; gtest_discover_tests copies that dump
+/// into each ctest name. Print the backend name instead.
+void PrintTo(const BackendCase &C, std::ostream *OS) { *OS << C.Name; }
 
 class SetRepFuzz
     : public ::testing::TestWithParam<std::tuple<BackendCase, unsigned>> {};
@@ -66,24 +81,48 @@ TEST_P(SetRepFuzz, MatchesStdSetOracle) {
   auto [Backend, Seed] = GetParam();
   auto P = parseOrDie(TinyProgram);
   ir::ClassHierarchy CH(*P);
+  PTAResult R(*P, CH);
   std::unique_ptr<SetRepOps> Ops = makeSetRepOps(Backend.Rep, *P, CH);
+  Ops->prepare(R); // hierarchy: interns the ranked block, ids 0..sites-1
+  std::vector<TypeId> Classes;
+  for (uint32_t T = 0; T < P->numTypes(); ++T)
+    if (P->type(TypeId(T)).Kind == ir::TypeKind::Class)
+      Classes.push_back(TypeId(T));
 
   std::mt19937 Rng(Seed);
   constexpr size_t Slots = 8;
   PointsToSet Sets[Slots];
   std::set<uint32_t> Refs[Slots];
 
+  // Pre-interned cs-objects keep their site's type (the ranges cover
+  // them by rank); every other id gets a random class, as a discovered
+  // context-sensitive object would.
+  auto Register = [&](uint32_t E) {
+    if (Ops->typeOf(E).isValid())
+      return;
+    TypeId T = E < R.CSM.numCSObjs()
+                   ? P->obj(R.CSM.objOf(CSObjId(E)).second).Type
+                   : Classes[Rng() % Classes.size()];
+    Ops->registerObj(E, T);
+  };
   auto RandomElem = [&]() -> uint32_t {
+    uint32_t E;
     switch (Rng() % 4) {
     case 0: // chunk-boundary cluster: 62..66, 126..130
-      return (Rng() % 2 ? 62 : 126) + Rng() % 5;
+      E = (Rng() % 2 ? 62 : 126) + Rng() % 5;
+      break;
     case 1: // dense low ids
-      return Rng() % 96;
+      E = Rng() % 96;
+      break;
     case 2: // mid-range
-      return Rng() % 4096;
+      E = Rng() % 4096;
+      break;
     default: // sparse tail (forces interior-chunk merges)
-      return Rng() % 200000;
+      E = Rng() % 200000;
+      break;
     }
+    Register(E);
+    return E;
   };
   auto Check = [&](size_t I, const char *What, int Op) {
     ASSERT_EQ(Sets[I].size(), Refs[I].size())
@@ -101,24 +140,29 @@ TEST_P(SetRepFuzz, MatchesStdSetOracle) {
       ASSERT_EQ(Sets[I].insert(E), Refs[I].insert(E).second) << "op " << Op;
       break;
     }
-    case 1: { // backend union of two pool slots
+    case 1: { // union of two pool slots
       size_t J = Rng() % Slots;
       if (J == I)
         break;
       size_t Before = Refs[I].size();
-      bool Changed = Ops->unionInto(Sets[I], Sets[J]);
+      bool Changed = Sets[I].unionWith(Sets[J]);
       Refs[I].insert(Refs[J].begin(), Refs[J].end());
       ASSERT_EQ(Changed, Refs[I].size() != Before) << "op " << Op;
-      Check(I, "unionInto dst", Op);
-      Check(J, "unionInto src (must not mutate)", Op);
+      Check(I, "union dst", Op);
+      Check(J, "union src (must not mutate)", Op);
       break;
     }
-    case 2: { // freeze (MDE shares; others no-op) then keep using the slot
-      Ops->shareDelta(Sets[I]);
-      Check(I, "shareDelta", Op);
+    case 2: { // the backend's cast filter
+      TypeId F = Classes[Rng() % Classes.size()];
+      Ops->materializeFilter(F); // idempotent
+      Ops->applyFilter(Sets[I], F);
+      for (auto It = Refs[I].begin(); It != Refs[I].end();)
+        It = CH.isSubtype(Ops->typeOf(*It), F) ? std::next(It)
+                                               : Refs[I].erase(It);
+      Check(I, "applyFilter", Op);
       break;
     }
-    case 3: { // union of a fresh delta, sometimes empty, sometimes frozen
+    case 3: { // union of a fresh delta, sometimes empty
       PointsToSet Delta;
       std::set<uint32_t> DeltaRef;
       for (int N = Rng() % 6; N > 0; --N) {
@@ -126,20 +170,25 @@ TEST_P(SetRepFuzz, MatchesStdSetOracle) {
         Delta.insert(E);
         DeltaRef.insert(E);
       }
-      if (Rng() % 2)
-        Ops->shareDelta(Delta);
       size_t Before = Refs[I].size();
-      bool Changed = Ops->unionInto(Sets[I], Delta);
+      bool Changed = Sets[I].unionWith(Delta);
       Refs[I].insert(DeltaRef.begin(), DeltaRef.end());
       ASSERT_EQ(Changed, Refs[I].size() != Before) << "op " << Op;
       Check(I, "delta union", Op);
       break;
     }
-    case 4: { // clear
+    case 4: { // clear, or intersect with a pool neighbor
+      size_t J = Rng() % Slots;
       if (Rng() % 4 == 0) { // keep clears rarer than growth
         Sets[I].clear();
         Refs[I].clear();
+      } else if (J != I && Rng() % 3 == 0) {
+        Sets[I].intersectWith(Sets[J]);
+        for (auto It = Refs[I].begin(); It != Refs[I].end();)
+          It = Refs[J].count(*It) ? std::next(It) : Refs[I].erase(It);
+        Check(J, "intersect src (must not mutate)", Op);
       }
+      Check(I, "clear/intersect", Op);
       break;
     }
     case 5: { // differenceFrom a pool neighbor
@@ -157,7 +206,7 @@ TEST_P(SetRepFuzz, MatchesStdSetOracle) {
       ASSERT_EQ(Sets[I].contains(E), Refs[I].count(E) > 0) << "op " << Op;
       break;
     }
-    default: { // copy-assign then diverge: COW isolation across slots
+    default: { // copy-assign then diverge: copies never alias
       size_t J = Rng() % Slots;
       if (J == I)
         break;
@@ -180,32 +229,23 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(BackendCase{"chunked",
                                                      SetRep::Chunked},
                                          BackendCase{"hierarchy",
-                                                     SetRep::Hierarchy},
-                                         BackendCase{"mde", SetRep::Mde}),
+                                                     SetRep::Hierarchy}),
                        ::testing::Range(1u, 9u)),
     fuzzName);
 
 TEST(SetRepFuzz, EmptyWindowUnions) {
   // The append fast path (every delta chunk beyond the dst max) and the
-  // empty-dst adopt path, under each backend, against the oracle.
-  auto P = parseOrDie(TinyProgram);
-  ir::ClassHierarchy CH(*P);
-  for (SetRep Rep : {SetRep::Chunked, SetRep::Hierarchy, SetRep::Mde}) {
-    std::unique_ptr<SetRepOps> Ops = makeSetRepOps(Rep, *P, CH);
-    PointsToSet Dst;
-    std::set<uint32_t> Ref;
-    for (uint32_t Base : {0u, 1000u, 2000u, 3000u}) {
-      PointsToSet Delta;
-      for (uint32_t E : {Base + 63, Base + 64, Base + 65}) {
-        Delta.insert(E);
-        Ref.insert(E);
-      }
-      Ops->shareDelta(Delta);
-      EXPECT_TRUE(Ops->unionInto(Dst, Delta));
-      EXPECT_FALSE(Ops->unionInto(Dst, Delta)) << "re-union is a no-op";
+  // empty-dst copy path, against the oracle.
+  PointsToSet Dst;
+  std::set<uint32_t> Ref;
+  for (uint32_t Base : {0u, 1000u, 2000u, 3000u}) {
+    PointsToSet Delta;
+    for (uint32_t E : {Base + 63, Base + 64, Base + 65}) {
+      Delta.insert(E);
+      Ref.insert(E);
     }
-    EXPECT_EQ(Dst.toVector(),
-              std::vector<uint32_t>(Ref.begin(), Ref.end()))
-        << setRepName(Rep);
+    EXPECT_TRUE(Dst.unionWith(Delta));
+    EXPECT_FALSE(Dst.unionWith(Delta)) << "re-union is a no-op";
   }
+  EXPECT_EQ(Dst.toVector(), std::vector<uint32_t>(Ref.begin(), Ref.end()));
 }

@@ -8,13 +8,9 @@
 // Since PR 5, SetBytes is computed uniformly by SolverCore over the
 // flattened solution (PointsToSet::liveBytes), so it — like
 // VarPtsEntries — is a pure function of the solution and must be
-// bit-identical across the naive, wave, and parallel engines on every
-// workload profile. The parallel engine's delta accounting must balance
-// at every thread count: DeltasBuffered == DeltasMerged + DeltasDropped,
-// with DeltasDropped nonzero only on a timed-out run (a timeout stops
-// mid-wave, so deliveries already buffered are dropped — and counted).
-// The engine-owned WorkingSetBytes may differ between engines but never
-// be zero on a non-trivial run.
+// bit-identical across the naive and wave engines on every workload
+// profile. The engine-owned WorkingSetBytes may differ between engines
+// but never be zero on a non-trivial run.
 //
 //===----------------------------------------------------------------------===//
 
@@ -31,10 +27,9 @@ namespace {
 
 std::unique_ptr<PTAResult> runWith(const ir::Program &P,
                                    const ir::ClassHierarchy &CH,
-                                   SolverEngine Engine, unsigned Threads) {
+                                   SolverEngine Engine) {
   AnalysisOptions Opts; // context-insensitive: every profile is scalable
   Opts.Engine = Engine;
-  Opts.SolverThreads = Threads;
   return runPointerAnalysis(P, CH, Opts);
 }
 
@@ -45,50 +40,13 @@ TEST(StatsConservation, SolutionStatsAgreeAcrossEnginesOnAllProfiles) {
     auto P = workload::buildBenchmarkProgram(Name, Scale);
     ir::ClassHierarchy CH(*P);
 
-    auto Naive = runWith(*P, CH, SolverEngine::Naive, 0);
-    auto Wave = runWith(*P, CH, SolverEngine::Wave, 0);
+    auto Naive = runWith(*P, CH, SolverEngine::Naive);
+    auto Wave = runWith(*P, CH, SolverEngine::Wave);
     ASSERT_GT(Wave->Stats.VarPtsEntries, 0u);
     EXPECT_EQ(Naive->Stats.VarPtsEntries, Wave->Stats.VarPtsEntries);
     EXPECT_EQ(Naive->Stats.SetBytes, Wave->Stats.SetBytes);
     EXPECT_GT(Naive->Stats.WorkingSetBytes, 0u);
     EXPECT_GT(Wave->Stats.WorkingSetBytes, 0u);
-
-    for (unsigned Threads : {1u, 2u, 8u}) {
-      SCOPED_TRACE(Threads);
-      auto Par = runWith(*P, CH, SolverEngine::ParallelWave, Threads);
-      EXPECT_EQ(Par->Stats.DeltasBuffered, Par->Stats.DeltasMerged);
-      EXPECT_EQ(Par->Stats.DeltasDropped, 0u); // complete runs drop nothing
-      EXPECT_EQ(Par->Stats.VarPtsEntries, Wave->Stats.VarPtsEntries);
-      EXPECT_EQ(Par->Stats.SetBytes, Wave->Stats.SetBytes);
-      EXPECT_GT(Par->Stats.WorkingSetBytes, 0u);
-    }
-  }
-}
-
-TEST(StatsConservation, TimeoutDropsAreCountedNotLost) {
-  // A budget of (effectively) zero stops the parallel engine at its
-  // first in-sweep budget check — mid-wave, with deliveries already
-  // buffered that the merge phase then abandons. Those must land in
-  // DeltasDropped so the conservation law still balances; silently
-  // vanishing buffered work was the pre-fix defect.
-  auto P = workload::buildBenchmarkProgram("chart", 0.1);
-  ir::ClassHierarchy CH(*P);
-  for (unsigned Threads : {1u, 2u}) {
-    SCOPED_TRACE(Threads);
-    AnalysisOptions Opts;
-    Opts.Engine = SolverEngine::ParallelWave;
-    Opts.SolverThreads = Threads;
-    Opts.TimeBudgetSeconds = 1e-9;
-    auto R = runPointerAnalysis(*P, CH, Opts);
-    EXPECT_TRUE(R->Stats.TimedOut);
-    EXPECT_EQ(R->Stats.DeltasBuffered,
-              R->Stats.DeltasMerged + R->Stats.DeltasDropped);
-    if (Threads == 1) {
-      // Single-threaded the schedule is fixed: the sweep buffers real
-      // work before the 64-pop budget check fires, so the drop counter
-      // must actually engage (not balance trivially at 0 == 0 + 0).
-      EXPECT_GT(R->Stats.DeltasDropped, 0u);
-    }
   }
 }
 
@@ -99,13 +57,10 @@ TEST(StatsConservation, WaveLatencyHistogramMatchesWaveCount) {
   auto P = workload::buildBenchmarkProgram("antlr", 0.05);
   ir::ClassHierarchy CH(*P);
 
-  auto Wave = runWith(*P, CH, SolverEngine::Wave, 0);
+  auto Wave = runWith(*P, CH, SolverEngine::Wave);
   EXPECT_GT(Wave->WaveMicros.count(), 0u);
 
-  auto Par = runWith(*P, CH, SolverEngine::ParallelWave, 2);
-  EXPECT_EQ(Par->WaveMicros.count(), Par->Stats.ParallelWaves);
-
-  auto Naive = runWith(*P, CH, SolverEngine::Naive, 0);
+  auto Naive = runWith(*P, CH, SolverEngine::Naive);
   EXPECT_EQ(Naive->WaveMicros.count(), 0u);
 }
 

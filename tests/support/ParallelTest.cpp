@@ -4,14 +4,11 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The shared chunking helpers (support/Parallel.h) and the wave-parallel
-// solver's per-worker DeltaBuffer (support/DeltaBuffer.h): boundary
-// arithmetic, exactly-once coverage, exception propagation, and the
-// single-store/zero-copy emission contract.
+// The chunking helpers (support/Parallel.h): boundary arithmetic,
+// exactly-once coverage, and exception propagation.
 //
 //===----------------------------------------------------------------------===//
 
-#include "support/DeltaBuffer.h"
 #include "support/Parallel.h"
 
 #include <gtest/gtest.h>
@@ -55,7 +52,7 @@ TEST(Parallel, ParallelForCoversEachIndexExactlyOnce) {
 
 TEST(Parallel, ParallelChunksAssignsItemsDeterministically) {
   // The chunk an item lands in depends only on (N, NumChunks) — the
-  // contract the solver's shard buffers rely on.
+  // contract any caller keeping per-chunk state relies on.
   constexpr size_t N = 1000, Chunks = 8;
   ThreadPool Pool(4);
   std::vector<size_t> First(N), Second(N);
@@ -99,64 +96,4 @@ TEST(Parallel, WorkerExceptionPropagatesFromWait) {
   std::atomic<size_t> Count{0};
   parallelFor(Pool, 64, [&](size_t) { ++Count; });
   EXPECT_EQ(Count.load(), 64u);
-}
-
-TEST(DeltaBuffer, StoresDeltaOnceAndBucketsRecordsByShard) {
-  DeltaBuffer Buf;
-  Buf.reset(3);
-  EXPECT_EQ(Buf.numTargetShards(), 3u);
-
-  PointsToSet D1;
-  D1.insert(5);
-  D1.insert(900);
-  uint32_t S1 = Buf.addDelta(/*Node=*/42, std::move(D1));
-  // One stored set, fanned out to targets in different shards.
-  Buf.emit(/*TargetShard=*/0, /*Target=*/7, S1, /*FilterPlus1=*/0);
-  Buf.emit(2, 11, S1, 4);
-  Buf.emit(2, 13, S1, 0);
-
-  PointsToSet D2;
-  D2.insert(1);
-  uint32_t S2 = Buf.addDelta(43, std::move(D2));
-  Buf.emit(1, 9, S2, 0);
-
-  EXPECT_EQ(Buf.numDeltas(), 2u);
-  EXPECT_EQ(Buf.numRecords(), 4u);
-  ASSERT_EQ(Buf.records(0).size(), 1u);
-  ASSERT_EQ(Buf.records(1).size(), 1u);
-  ASSERT_EQ(Buf.records(2).size(), 2u);
-
-  // Records reference the single stored set by slot — no copies.
-  const DeltaBuffer::Record &R = Buf.records(2)[0];
-  EXPECT_EQ(R.Target, 11u);
-  EXPECT_EQ(R.DeltaSlot, S1);
-  EXPECT_EQ(R.FilterPlus1, 4u);
-  EXPECT_TRUE(Buf.delta(R.DeltaSlot).contains(900));
-  EXPECT_EQ(Buf.records(2)[1].DeltaSlot, S1);
-  EXPECT_EQ(Buf.records(1)[0].DeltaSlot, S2);
-
-  // Wave order of stored deltas is preserved for the growth phase.
-  EXPECT_EQ(Buf.deltaNode(0), 42u);
-  EXPECT_EQ(Buf.deltaNode(1), 43u);
-  EXPECT_EQ(Buf.deltaSet(1).size(), 1u);
-}
-
-TEST(DeltaBuffer, ResetClearsContentButKeepsShardCount) {
-  DeltaBuffer Buf;
-  Buf.reset(2);
-  PointsToSet D;
-  D.insert(3);
-  Buf.emit(1, 8, Buf.addDelta(1, std::move(D)), 0);
-  EXPECT_EQ(Buf.numRecords(), 1u);
-
-  Buf.reset(2);
-  EXPECT_EQ(Buf.numDeltas(), 0u);
-  EXPECT_EQ(Buf.numRecords(), 0u);
-  EXPECT_EQ(Buf.numTargetShards(), 2u);
-  EXPECT_TRUE(Buf.records(0).empty());
-  EXPECT_TRUE(Buf.records(1).empty());
-
-  // Re-bucketing to a different shard count.
-  Buf.reset(5);
-  EXPECT_EQ(Buf.numTargetShards(), 5u);
 }

@@ -206,76 +206,6 @@ TEST(PointsToSet, LiveBytesAndMemoryBytesPinned) {
     T.insert(E);
   EXPECT_TRUE(S == T);
   EXPECT_EQ(S.liveBytes(), T.liveBytes());
-  // Freezing moves the chunks into a shared block: liveBytes unchanged.
-  S.freeze();
-  EXPECT_EQ(S.liveBytes(), 3 * sizeof(PointsToSet::Chunk));
-}
-
-TEST(PointsToSet, FreezeAndAdoptShareOneBlock) {
-  PointsToSet S;
-  for (uint32_t E : {1u, 64u, 4096u})
-    S.insert(E);
-  EXPECT_FALSE(S.isShared());
-  S.freeze();
-  ASSERT_TRUE(S.isShared());
-  ASSERT_NE(S.block(), nullptr);
-  EXPECT_EQ(S.block()->Count, 3u);
-  EXPECT_EQ(S.size(), 3u);
-  EXPECT_TRUE(S.contains(64));
-  // freeze is idempotent: same block, no copy.
-  const PointsToSet::SharedRef Block = S.block();
-  S.freeze();
-  EXPECT_EQ(S.block(), Block);
-  // adopt points another set at the same storage.
-  PointsToSet T;
-  T.insert(999); // overwritten by adopt
-  T.adopt(Block);
-  EXPECT_EQ(T.size(), 3u);
-  EXPECT_EQ(T.block(), S.block());
-  EXPECT_TRUE(S == T);
-  // Unioning a frozen set into an empty one adopts rather than copies.
-  PointsToSet U;
-  EXPECT_TRUE(U.unionWith(S));
-  EXPECT_EQ(U.block(), S.block());
-  // Self-union over the same block is a no-op, not an infinite loop.
-  EXPECT_FALSE(U.unionWith(S));
-}
-
-TEST(PointsToSet, MutationOfSharedSetIsCopyOnWrite) {
-  PointsToSet S;
-  for (uint32_t E : {1u, 64u})
-    S.insert(E);
-  S.freeze();
-  PointsToSet T;
-  T.adopt(S.block());
-  // Writing through T must not disturb S (or the frozen block).
-  EXPECT_TRUE(T.insert(2));
-  EXPECT_FALSE(T.isShared()) << "mutation materializes a private copy";
-  EXPECT_TRUE(T.contains(2));
-  EXPECT_FALSE(S.contains(2));
-  EXPECT_EQ(S.size(), 2u);
-  EXPECT_EQ(S.block()->Chunks.size(), 2u);
-  // Inserting an element the block already has stays shared (no-op).
-  PointsToSet U;
-  U.adopt(S.block());
-  EXPECT_FALSE(U.insert(64));
-  EXPECT_TRUE(U.isShared());
-  // clear() releases the block reference.
-  U.clear();
-  EXPECT_FALSE(U.isShared());
-  EXPECT_TRUE(U.empty());
-}
-
-TEST(PointsToSet, EmptyFreezeIsNoOp) {
-  PointsToSet S;
-  S.freeze();
-  EXPECT_FALSE(S.isShared());
-  EXPECT_TRUE(S.empty());
-  // Adopting null means empty.
-  S.insert(7);
-  S.adopt(nullptr);
-  EXPECT_TRUE(S.empty());
-  EXPECT_EQ(S.size(), 0u);
 }
 
 TEST(PointsToSet, IntersectWithRangesBasics) {
