@@ -12,9 +12,9 @@
 //      paper's Example 3.2 shows it can shift k-type precision;
 //  (c) the behavioral-partition index vs the paper's plain
 //      object-vs-representative scan — modeling time;
-//  (d) parallel type-consistency checks (1/2/4 threads, §5);
-//  (e) shared automata: global DFA states vs the sum of per-object NFA
-//      sizes (what an unshared implementation would materialize).
+//  (d) shared automata: global DFA states vs the sum of per-object NFA
+//      sizes (what an unshared implementation would materialize);
+//  (e) pre-analysis precision: ci vs 2type vs 2obj before merging.
 //
 //===----------------------------------------------------------------------===//
 
@@ -68,41 +68,29 @@ static void representativeAblation() {
               "site, hence k-type contexts\n\n");
 }
 
-static void partitionAndThreadsAblation() {
-  std::printf("-- (c,d) partition index and parallel checks: modeling "
-              "time --\n");
+static void partitionAblation() {
+  std::printf("-- (c) partition index vs plain scan: modeling time --\n");
   auto P = workload::buildBenchmarkProgram("eclipse", 0.4);
   ir::ClassHierarchy CH(*P);
   pta::AnalysisOptions PreOpts;
   auto Pre = pta::runPointerAnalysis(*P, CH, PreOpts);
   FieldPointsToGraph G(*Pre);
-  struct Config {
-    const char *Label;
-    bool Partition;
-    unsigned Threads;
-  } Configs[] = {
-      {"scan, 1 thread", false, 1},
-      {"partition, 1 thread", true, 1},
-      {"partition, 2 threads", true, 2},
-      {"partition, 4 threads", true, 4},
-  };
-  for (const Config &C : Configs) {
+  for (bool Partition : {false, true}) {
     DFACache Cache(G);
     HeapModelerOptions Opts;
-    Opts.UsePartitionIndex = C.Partition;
-    Opts.Threads = C.Threads;
+    Opts.UsePartitionIndex = Partition;
     HeapModelerResult R = modelHeap(G, Cache, Opts);
-    std::printf("  %-22s %7.3fs classes=%u pairs-tested=%llu\n", C.Label,
-                R.Seconds, R.NumClasses,
+    std::printf("  %-10s %7.3fs classes=%u pairs-tested=%llu\n",
+                Partition ? "partition" : "scan", R.Seconds, R.NumClasses,
                 (unsigned long long)R.PairsTested);
   }
-  std::printf("  expected: identical classes everywhere; the partition "
-              "index removes\n  the object-vs-class quadratic scan on "
-              "merge-resistant heaps\n\n");
+  std::printf("  expected: identical classes; the partition index removes\n"
+              "  the object-vs-class quadratic scan on merge-resistant "
+              "heaps\n\n");
 }
 
 static void sharedAutomataAblation() {
-  std::printf("-- (e) shared automata (paper §5) --\n");
+  std::printf("-- (d) shared automata (paper §5) --\n");
   auto P = workload::buildBenchmarkProgram("checkstyle", 0.3);
   ir::ClassHierarchy CH(*P);
   MahjongResult MR = buildMahjongHeap(*P, CH);
@@ -127,7 +115,7 @@ static void sharedAutomataAblation() {
 }
 
 static void preAnalysisPrecisionAblation() {
-  std::printf("-- (f) pre-analysis precision (extension; the paper fixes "
+  std::printf("-- (e) pre-analysis precision (extension; the paper fixes "
               "ci) --\n");
   auto P = workload::buildBenchmarkProgram("checkstyle", 0.2);
   ir::ClassHierarchy CH(*P);
@@ -157,7 +145,7 @@ int main() {
   std::printf("== Ablations of MAHJONG's design choices ==\n\n");
   condition2Ablation();
   representativeAblation();
-  partitionAndThreadsAblation();
+  partitionAblation();
   sharedAutomataAblation();
   preAnalysisPrecisionAblation();
   return 0;

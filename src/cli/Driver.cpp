@@ -313,7 +313,10 @@ int cmdAnalyze(int Argc, const char *const *Argv, std::ostream &Out,
                                        : pta::SolverEngine::Wave;
   Opts.Rep = *Rep;
   if (HeapKind == "mahjong") {
-    MR = core::buildMahjongHeap(*P, CH);
+    core::MahjongOptions MOpts;
+    MOpts.PreEngine = Opts.Engine;
+    MOpts.PreRep = Opts.Rep;
+    MR = core::buildMahjongHeap(*P, CH, MOpts);
     Opts.Heap = MR.Heap.get();
     Out << "mahjong heap: " << MR.numAllocSiteObjects() << " sites -> "
         << MR.numMahjongObjects() << " objects (pre " << std::fixed

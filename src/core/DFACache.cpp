@@ -16,7 +16,9 @@ using namespace mahjong;
 using namespace mahjong::core;
 using namespace mahjong::ir;
 
-DFACache::DFACache(const FieldPointsToGraph &G) : G(G) {
+DFACache::DFACache(const FieldPointsToGraph &G)
+    : G(G), ClassStamp(G.numAdjClasses(), 0),
+      TargetStamp(G.program().numObjs(), 0) {
   // State 0 is q_error: the empty object set with an empty output.
   DFAStateId Error = intern({});
   (void)Error;
@@ -25,10 +27,9 @@ DFACache::DFACache(const FieldPointsToGraph &G) : G(G) {
   NullState = intern({Program::nullObj().idx()});
 }
 
-DFAStateId DFACache::intern(std::vector<uint32_t> SortedObjs) {
+DFAStateId DFACache::intern(const std::vector<uint32_t> &SortedObjs) {
   DFAStateId S = Sets.intern(SortedObjs);
   if (S.idx() >= Outputs.size()) {
-    assert(!Frozen && "interning a new DFA state after freeze()");
     Trans.resize(S.idx() + 1);
     TransComputed.resize(S.idx() + 1, false);
     Outputs.resize(S.idx() + 1);
@@ -51,79 +52,91 @@ DFAStateId DFACache::intern(std::vector<uint32_t> SortedObjs) {
 
 DFAStateId DFACache::startFor(ObjId O) { return intern({O.idx()}); }
 
-DFAStateId DFACache::startForFrozen(ObjId O) const {
+DFAStateId DFACache::startFor(ObjId O) const {
   DFAStateId S = Sets.lookup(std::vector<uint32_t>{O.idx()});
-  assert(S.isValid() && "start state not interned before the frozen phase");
+  assert(S.isValid() && "start state not interned");
   return S;
 }
 
-void DFACache::computeTransitions(DFAStateId S) {
-  assert(!Frozen && "computing transitions after freeze()");
-  TransComputed[S.idx()] = true;
-  // intern() below can grow the key table and move its vector headers, so
-  // copy the member list instead of holding a reference into it.
-  const std::vector<uint32_t> Objs = Sets.get(S);
-  // Collect the union alphabet of the member objects, then the successor
-  // set per field (Algorithm 3, line 10: q' = { δ[o_j, f] | o_j ∈ q }).
-  std::vector<FieldId> Fields;
-  for (uint32_t Obj : Objs)
-    for (const auto &[F, Targets] : G.fieldsOf(ObjId(Obj)))
-      Fields.push_back(F);
-  std::sort(Fields.begin(), Fields.end());
-  Fields.erase(std::unique(Fields.begin(), Fields.end()), Fields.end());
+namespace {
 
-  bool HasNull = ContainsNull[S.idx()];
-  std::vector<std::pair<FieldId, DFAStateId>> Result;
-  Result.reserve(Fields.size());
-  for (FieldId F : Fields) {
-    std::vector<uint32_t> Next;
-    for (uint32_t Obj : Objs)
-      for (ObjId T : G.succ(ObjId(Obj), F))
-        Next.push_back(T.idx());
-    if (HasNull) // the null member self-loops on every field
-      Next.push_back(Program::nullObj().idx());
-    std::sort(Next.begin(), Next.end());
-    Next.erase(std::unique(Next.begin(), Next.end()), Next.end());
-    Result.emplace_back(F, intern(std::move(Next)));
+/// Advances a stamp epoch, clearing the stamps when the counter wraps so
+/// that a stale stamp can never equal the new epoch.
+void nextEpoch(uint32_t &Epoch, std::vector<uint32_t> &Stamps) {
+  if (++Epoch == 0) {
+    std::fill(Stamps.begin(), Stamps.end(), 0);
+    Epoch = 1;
+  }
+}
+
+} // namespace
+
+void DFACache::computeTransitions(DFAStateId S) {
+  TransComputed[S.idx()] = true;
+  // The distinct adjacency classes of the members. Read before anything
+  // is interned: intern() can move the key storage Sets.get() points into.
+  nextEpoch(ClassEpoch, ClassStamp);
+  MemberClasses.clear();
+  for (uint32_t Obj : Sets.get(S)) {
+    if (Program::nullObj().idx() == Obj)
+      continue; // its self-loops are added per field below
+    uint32_t C = G.adjClassOf(ObjId(Obj));
+    if (ClassStamp[C] != ClassEpoch) {
+      ClassStamp[C] = ClassEpoch;
+      MemberClasses.push_back(C);
+    }
+  }
+  // One successor list per (class, field), grouped by field: the union
+  // alphabet of the members, each symbol with the lists to merge
+  // (Algorithm 3, line 10: q' = { δ[o_j, f] | o_j ∈ q }).
+  FieldLists.clear();
+  for (uint32_t C : MemberClasses)
+    for (const auto &[F, Targets] : G.classFields(C))
+      FieldLists.emplace_back(F, &Targets);
+  std::sort(FieldLists.begin(), FieldLists.end(),
+            [](const auto &A, const auto &B) { return A.first < B.first; });
+
+  const uint32_t Null = Program::nullObj().idx();
+  const bool HasNull = ContainsNull[S.idx()];
+  TransitionList Result;
+  for (size_t I = 0; I < FieldLists.size();) {
+    FieldId F = FieldLists[I].first;
+    nextEpoch(TargetEpoch, TargetStamp);
+    NextObjs.clear();
+    for (; I < FieldLists.size() && FieldLists[I].first == F; ++I) {
+      SuccessorsScanned += FieldLists[I].second->size();
+      for (ObjId T : *FieldLists[I].second)
+        if (TargetStamp[T.idx()] != TargetEpoch) {
+          TargetStamp[T.idx()] = TargetEpoch;
+          NextObjs.push_back(T.idx());
+        }
+    }
+    if (HasNull && TargetStamp[Null] != TargetEpoch)
+      NextObjs.push_back(Null); // the null member self-loops on every field
+    std::sort(NextObjs.begin(), NextObjs.end());
+    Result.emplace_back(F, intern(NextObjs));
   }
   Trans[S.idx()] = std::move(Result);
 }
 
-const std::vector<std::pair<FieldId, DFAStateId>> &
-DFACache::transitions(DFAStateId S) {
+const DFACache::TransitionList &DFACache::transitions(DFAStateId S) {
   if (!TransComputed[S.idx()])
     computeTransitions(S);
   return Trans[S.idx()];
 }
 
-DFAStateId DFACache::next(DFAStateId S, FieldId F) {
-  const auto &Ts = transitions(S);
+DFAStateId DFACache::next(DFAStateId S, FieldId F) const {
+  const TransitionList &Ts = transitions(S);
   auto It = std::lower_bound(
       Ts.begin(), Ts.end(), F,
       [](const auto &Entry, FieldId Key) { return Entry.first < Key; });
   if (It != Ts.end() && It->first == F)
     return It->second;
   // Missing field: a state containing o_null still self-loops on it.
-  return ContainsNull[S.idx()] ? NullState : errorState();
+  return defaultSink(S);
 }
 
-const std::vector<std::pair<FieldId, DFAStateId>> &
-DFACache::transitionsFrozen(DFAStateId S) const {
-  assert(TransComputed[S.idx()] && "state not materialized before freeze()");
-  return Trans[S.idx()];
-}
-
-DFAStateId DFACache::nextFrozen(DFAStateId S, FieldId F) const {
-  const auto &Ts = transitionsFrozen(S);
-  auto It = std::lower_bound(
-      Ts.begin(), Ts.end(), F,
-      [](const auto &Entry, FieldId Key) { return Entry.first < Key; });
-  if (It != Ts.end() && It->first == F)
-    return It->second;
-  return ContainsNull[S.idx()] ? NullState : errorState();
-}
-
-const std::vector<ObjId> DFACache::members(DFAStateId S) const {
+std::vector<ObjId> DFACache::members(DFAStateId S) const {
   std::vector<ObjId> Result;
   for (uint32_t Obj : Sets.get(S))
     Result.push_back(ObjId(Obj));

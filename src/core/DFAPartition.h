@@ -5,10 +5,19 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Moore-style partition refinement over the *whole* shared DFA: computes
-/// the behavioral equivalence classes of every materialized state at
-/// once. Two DFA states are language-and-output equivalent (the relation
-/// Algorithm 4 decides pairwise) iff they end up in the same block.
+/// Partition refinement over the *whole* shared DFA: computes the
+/// behavioral equivalence classes of every state at once. Two DFA states
+/// are language-and-output equivalent (the relation Algorithm 4 decides
+/// pairwise) iff they end up in the same block.
+///
+/// The refinement is Valmari and Lehtinen's worklist algorithm for DFAs
+/// with partial transition functions (Hopcroft's "process the smaller
+/// half", O(m log n) for m transitions over n states). It starts from the
+/// partition by output set. An edge to a state's own default sink (q_error,
+/// or the null state for states containing o_null) is dropped, so a
+/// missing field and an explicit edge to the sink are equivalent; this is
+/// exact because both sinks are singleton blocks from the start (only the
+/// empty set outputs ∅, only {o_null} outputs {null type}).
 ///
 /// The heap modeler uses the partition to group each type bucket by the
 /// block of its objects' start states, reducing Algorithm 1's
@@ -28,23 +37,21 @@
 
 namespace mahjong::core {
 
-/// Behavioral partition of all states materialized in a DFACache.
+/// Behavioral partition of all states interned in a DFACache.
 class DFAPartition {
 public:
-  /// Refines to a fixpoint. Every state whose transitions are
-  /// materialized participates; the cache must not grow afterwards.
+  /// Expands every interned state that is not yet materialized, then
+  /// refines to a fixpoint; the cache must not grow afterwards.
   explicit DFAPartition(DFACache &Cache);
 
   /// Block id of \p S. Equal blocks <=> behaviorally equivalent states.
   uint32_t blockOf(DFAStateId S) const { return Block[S.idx()]; }
 
   uint32_t numBlocks() const { return NumBlocks; }
-  unsigned numRounds() const { return Rounds; }
 
 private:
   std::vector<uint32_t> Block;
   uint32_t NumBlocks = 0;
-  unsigned Rounds = 0;
 };
 
 } // namespace mahjong::core

@@ -41,9 +41,6 @@ void EquivChecker::LazyUnionFind::unite(uint32_t A, uint32_t B) {
 bool EquivChecker::equivalent(DFAStateId A, DFAStateId B) {
   if (A == B)
     return true;
-  // Read-only checkers and frozen caches both take the const accessor
-  // path; lazy expansion happens only with a mutable, unfrozen cache.
-  const bool Frozen = !MutableCache || Cache.isFrozen();
   LazyUnionFind UF;
   std::vector<std::pair<DFAStateId, DFAStateId>> Stack;
 
@@ -65,42 +62,33 @@ bool EquivChecker::equivalent(DFAStateId A, DFAStateId B) {
     auto [P1, P2] = Stack.back();
     Stack.pop_back();
     ++PairsExamined;
-    // The relevant alphabet is the union of both states' field sets; on
-    // any other symbol both sides take the same default transition
-    // (q_error / the null sink), which is trivially consistent.
-    if (!Frozen) {
-      // Computing one state's transitions can intern new states and move
-      // the transition-table headers, so force both computations before
-      // taking references into the table.
+    // Lazy mode expands both states first: computing one state's
+    // transitions can intern new states and move the transition table,
+    // so no reference into it may be taken before both are computed.
+    if (MutableCache) {
       (void)MutableCache->transitions(P1);
       (void)MutableCache->transitions(P2);
     }
-    const auto &T1 = Frozen ? Cache.transitionsFrozen(P1)
-                            : MutableCache->transitions(P1);
-    const auto &T2 = Frozen ? Cache.transitionsFrozen(P2)
-                            : MutableCache->transitions(P2);
+    const DFACache::TransitionList &T1 = Cache.transitions(P1);
+    const DFACache::TransitionList &T2 = Cache.transitions(P2);
+    // The relevant alphabet is the union of both states' field sets; a
+    // field one side lacks takes that side's default sink, and on any
+    // other symbol both sides take their default sinks, which agree
+    // whenever the outputs (and hence null membership) agree.
     size_t I = 0, J = 0;
-    auto Step = [&](FieldId F) -> bool {
-      DFAStateId N1 =
-          Frozen ? Cache.nextFrozen(P1, F) : MutableCache->next(P1, F);
-      DFAStateId N2 =
-          Frozen ? Cache.nextFrozen(P2, F) : MutableCache->next(P2, F);
-      if (UF.find(N1.idx()) == UF.find(N2.idx()))
-        return true;
-      return UniteChecked(N1, N2);
-    };
     while (I < T1.size() || J < T2.size()) {
-      FieldId F;
-      if (J >= T2.size() || (I < T1.size() && T1[I].first < T2[J].first))
-        F = T1[I++].first;
-      else if (I >= T1.size() || T2[J].first < T1[I].first)
-        F = T2[J++].first;
-      else {
-        F = T1[I].first;
-        ++I;
-        ++J;
+      DFAStateId N1, N2;
+      if (J >= T2.size() || (I < T1.size() && T1[I].first < T2[J].first)) {
+        N1 = T1[I++].second;
+        N2 = Cache.defaultSink(P2);
+      } else if (I >= T1.size() || T2[J].first < T1[I].first) {
+        N1 = Cache.defaultSink(P1);
+        N2 = T2[J++].second;
+      } else {
+        N1 = T1[I++].second;
+        N2 = T2[J++].second;
       }
-      if (!Step(F))
+      if (UF.find(N1.idx()) != UF.find(N2.idx()) && !UniteChecked(N1, N2))
         return false;
     }
   }

@@ -10,8 +10,8 @@
 /// automata by comparing the full output map instead of accept flags.
 /// Runs in near-linear time O(|Σ| · |Q_larger|) per query.
 ///
-/// Works on the shared DFACache; after the cache is frozen, independent
-/// checkers can run concurrently (each keeps only a private union-find).
+/// Works on the shared DFACache, either expanding states on demand or
+/// reading an already materialized region through the const accessors.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -29,15 +29,13 @@ namespace mahjong::core {
 class EquivChecker {
 public:
   /// Lazy mode: \p Cache must outlive the checker; unmaterialized states
-  /// are expanded on demand (single-threaded use only). If the cache is
-  /// frozen, queries route through the const accessors automatically.
+  /// are expanded on demand.
   explicit EquivChecker(DFACache &Cache)
       : Cache(Cache), MutableCache(&Cache) {}
 
-  /// Read-only mode for the parallel phase: the checker can never write
-  /// to \p Cache (enforced by const), so any number of checkers may run
-  /// concurrently. Every queried region must already be materialized
-  /// (asserted per state by the frozen accessors).
+  /// Read-only mode: the checker never writes to \p Cache (enforced by
+  /// const). Every queried region must already be materialized (asserted
+  /// per state by the const accessors).
   explicit EquivChecker(const DFACache &Cache)
       : Cache(Cache), MutableCache(nullptr) {}
 

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <unordered_map>
 
 using namespace mahjong;
 using namespace mahjong::core;
@@ -81,6 +82,42 @@ FieldPointsToGraph::FieldPointsToGraph(const PTAResult &Pre) : P(Pre.P) {
         }
       }
     }
+  }
+  numberAdjClasses();
+}
+
+void FieldPointsToGraph::numberAdjClasses() {
+  // o_null is class 0: its empty list stands for implicit self-loops, so
+  // it must never share a class with a genuinely field-less object.
+  AdjClass.assign(Adj.size(), 0);
+  ClassRep.push_back(Program::nullObj());
+  // Classes keyed by a hash of their list; a hit is confirmed against the
+  // class representative's list, so no list is ever copied.
+  std::unordered_map<uint64_t, std::vector<uint32_t>> ClassesOfHash;
+  for (uint32_t I = 1; I < Adj.size(); ++I) {
+    const auto &Edges = Adj[I];
+    uint64_t H = 1469598103934665603ull;
+    auto Mix = [&H](uint64_t V) {
+      H ^= V;
+      H *= 1099511628211ull;
+    };
+    for (const auto &[F, Targets] : Edges) {
+      Mix(F.idx());
+      Mix(Targets.size());
+      for (ObjId T : Targets)
+        Mix(T.idx());
+    }
+    std::vector<uint32_t> &Candidates = ClassesOfHash[H];
+    auto Same = std::find_if(
+        Candidates.begin(), Candidates.end(),
+        [&](uint32_t C) { return Adj[ClassRep[C].idx()] == Edges; });
+    if (Same != Candidates.end()) {
+      AdjClass[I] = *Same;
+      continue;
+    }
+    AdjClass[I] = ClassRep.size();
+    Candidates.push_back(ClassRep.size());
+    ClassRep.push_back(ObjId(I));
   }
 }
 

@@ -17,6 +17,13 @@
 ///
 /// Only objects allocated in pre-analysis-reachable methods participate.
 ///
+/// Objects are also numbered by *adjacency class*: two objects share a
+/// class iff their fieldsOf() lists are identical (same fields, same
+/// successor lists). Members of one class contribute the same successors
+/// to every DFA transition, so subset construction reads each class once
+/// per state instead of once per member (DFACache::computeTransitions).
+/// o_null is a class of its own.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef MAHJONG_CORE_FIELDPOINTSTOGRAPH_H
@@ -48,6 +55,17 @@ public:
     return Adj[O.idx()];
   }
 
+  /// Adjacency class of \p O; equal classes <=> equal fieldsOf() lists.
+  uint32_t adjClassOf(ObjId O) const { return AdjClass[O.idx()]; }
+
+  /// The shared fieldsOf() list of every member of class \p C.
+  const std::vector<std::pair<FieldId, std::vector<ObjId>>> &
+  classFields(uint32_t C) const {
+    return Adj[ClassRep[C].idx()];
+  }
+
+  uint32_t numAdjClasses() const { return ClassRep.size(); }
+
   /// True if \p O was allocated in a reachable method (o_null included).
   bool isReachable(ObjId O) const { return Reachable[O.idx()]; }
 
@@ -69,10 +87,14 @@ public:
   uint32_t nfaSize(ObjId O) const;
 
 private:
+  void numberAdjClasses();
+
   const ir::Program &P;
   std::vector<std::vector<std::pair<FieldId, std::vector<ObjId>>>> Adj;
   std::vector<bool> Reachable;
   std::vector<ObjId> NullSucc; ///< {o_null}, returned for o_null queries
+  std::vector<uint32_t> AdjClass; ///< per object, its adjacency class
+  std::vector<ObjId> ClassRep;    ///< per class, its first object
   uint32_t NumReachable = 0;
   uint64_t NumEdges = 0;
   uint32_t NumFieldsUsed = 0;

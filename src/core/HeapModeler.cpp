@@ -9,7 +9,6 @@
 #include "core/DFAPartition.h"
 #include "core/EquivChecker.h"
 #include "obs/Trace.h"
-#include "support/Parallel.h"
 #include "support/Timer.h"
 
 #include <algorithm>
@@ -22,8 +21,8 @@ using namespace mahjong::ir;
 namespace {
 
 /// One per-type work unit: the objects of a single class type, in
-/// allocation-site order. Tasks over different buckets are independent by
-/// construction (type-consistent objects always share a type).
+/// allocation-site order. Buckets are independent by construction
+/// (type-consistent objects always share a type).
 struct TypeBucket {
   std::vector<ObjId> Objs;
   /// Output: equivalence groups found within this bucket.
@@ -41,10 +40,10 @@ void processBucketByScan(TypeBucket &Bucket, const DFACache &Cache,
   EquivChecker Checker(Cache);
   std::vector<DFAStateId> GroupStart; // start state per group
   for (ObjId O : Bucket.Objs) {
-    DFAStateId Start = Cache.startForFrozen(O);
+    DFAStateId Start = Cache.startFor(O);
     // Condition 2 (SINGLETYPE-CHECK): objects whose automata can reach a
     // mixed-type state stay unmerged (lines 6-7 of Algorithm 1).
-    if (EnforceCondition2 && !Cache.allSingletonOutputsFrozen(Start)) {
+    if (EnforceCondition2 && !Cache.allSingletonOutputs(Start)) {
       Bucket.Groups.push_back({O});
       GroupStart.push_back(DFAStateId::invalid());
       continue;
@@ -82,8 +81,8 @@ std::vector<std::vector<ObjId>> mahjong::core::groupByBlockOracle(
   // merely makes the list grow, never the result change.
   std::map<uint32_t, std::vector<size_t>> GroupsOfBlock;
   for (ObjId O : Objs) {
-    DFAStateId Start = Cache.startForFrozen(O);
-    if (EnforceCondition2 && !Cache.allSingletonOutputsFrozen(Start)) {
+    DFAStateId Start = Cache.startFor(O);
+    if (EnforceCondition2 && !Cache.allSingletonOutputs(Start)) {
       Groups.push_back({O});
       GroupStart.push_back(DFAStateId::invalid());
       continue;
@@ -121,7 +120,7 @@ HeapModelerResult mahjong::core::modelHeap(const FieldPointsToGraph &G,
     Result.MOM[I] = ObjId(I);
 
   // Bucket reachable objects by type (std::map keeps the processing order
-  // deterministic regardless of threading).
+  // deterministic).
   std::map<uint32_t, TypeBucket> Buckets;
   for (ObjId O : G.reachableObjs())
     Buckets[P.obj(O).Type.idx()].Objs.push_back(O);
@@ -129,9 +128,8 @@ HeapModelerResult mahjong::core::modelHeap(const FieldPointsToGraph &G,
 
   // Build all shared automata up front: the behavioral partition needs
   // the complete state space, and the bucket phase only ever reads the
-  // cache (the paper's synchronization-free scheme). Condition-2 verdicts
-  // — positive and negative — are memoized here too, so the per-bucket
-  // checks below are pure lookups.
+  // cache. Condition-2 verdicts — positive and negative — are memoized
+  // here too, so the per-bucket checks below are pure lookups.
   {
     obs::ScopedSpan Span("dfa-materialize");
     for (auto &[TypeIdx, Bucket] : Buckets)
@@ -149,39 +147,19 @@ HeapModelerResult mahjong::core::modelHeap(const FieldPointsToGraph &G,
     Partition = std::make_unique<DFAPartition>(Cache);
   }
 
-  // The bucket phase sees the cache as const: serial and parallel runs
-  // execute the identical read-only code path, so their results agree
-  // bit for bit and worker threads cannot write to shared state.
+  // The bucket phase sees the cache as const: it only reads what the
+  // build phase above computed.
   const DFACache &SharedCache = Cache;
-  auto RunBucket = [&, Partition = Partition.get()](TypeBucket &Bucket) {
-    // Under the parallel fan-out this runs on a pool worker, so each
-    // bucket span lands in its worker's trace lane.
+  for (auto &[TypeIdx, Bucket] : Buckets) {
     obs::ScopedSpan Span("merge-bucket");
     Span.arg("objs", Bucket.Objs.size());
     if (Partition)
       Bucket.Groups = groupByBlockOracle(
           Bucket.Objs, SharedCache,
-          [Partition](DFAStateId S) { return Partition->blockOf(S); },
+          [&Partition](DFAStateId S) { return Partition->blockOf(S); },
           Opts.EnforceCondition2, Bucket.PairsTested);
     else
       processBucketByScan(Bucket, SharedCache, Opts.EnforceCondition2);
-  };
-
-  if (Opts.Threads > 1) {
-    // From here on the workers may only use the const `...Frozen`
-    // accessors; freeze() arms the assertions that enforce it.
-    Cache.freeze();
-    // Flatten the map to an index space for the shared chunking helper
-    // (std::map iteration order keeps the flattening deterministic).
-    std::vector<TypeBucket *> Work;
-    Work.reserve(Buckets.size());
-    for (auto &[TypeIdx, Bucket] : Buckets)
-      Work.push_back(&Bucket);
-    ThreadPool Pool(Opts.Threads);
-    parallelFor(Pool, Work.size(), [&](size_t I) { RunBucket(*Work[I]); });
-  } else {
-    for (auto &[TypeIdx, Bucket] : Buckets)
-      RunBucket(Bucket);
   }
 
   // Apply the groups: pick each class's representative per policy.

@@ -10,10 +10,11 @@
 /// object map (MOM) that a subsequent points-to analysis consumes.
 ///
 /// Implementation of the paper's Algorithm 1 with the section-5
-/// optimizations: a disjoint-set forest with union-by-rank and path
-/// compression, the shared automata of DFACache, and synchronization-free
-/// parallel type-consistency checks — objects are bucketed by type, one
-/// task per type, so no two tasks can ever merge the same object.
+/// optimizations: the shared automata of DFACache, and per-type buckets
+/// (type-consistent objects always share a type, so no two buckets can
+/// ever merge the same object). The paper runs the buckets in parallel;
+/// here they run in sequence, since the global behavioral partition
+/// (DFAPartition) leaves them a negligible share of the merge.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -38,8 +39,6 @@ enum class ReprPolicy : uint8_t {
 
 /// Configuration for the heap modeler.
 struct HeapModelerOptions {
-  /// Worker threads for the per-type consistency checks. 1 = serial.
-  unsigned Threads = 1;
   /// Ablation switch for Condition 2 of Definition 2.1 (Example 2.4
   /// shows disabling it loses precision).
   bool EnforceCondition2 = true;

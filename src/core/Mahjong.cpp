@@ -28,6 +28,8 @@ MahjongResult mahjong::core::buildMahjongHeap(const Program &P,
     AnalysisOptions PreOpts;
     PreOpts.Kind = Opts.PreKind;
     PreOpts.K = Opts.PreK;
+    PreOpts.Engine = Opts.PreEngine;
+    PreOpts.Rep = Opts.PreRep;
     PreOpts.TimeBudgetSeconds = Opts.PreAnalysisBudgetSeconds;
     R.Pre = runPointerAnalysis(P, CH, PreOpts);
   }

@@ -44,6 +44,11 @@ struct MahjongOptions {
   /// extension experiment in the ablation bench.
   pta::ContextKind PreKind = pta::ContextKind::Insensitive;
   unsigned PreK = 0;
+  /// Solver engine and set backend of the pre-analysis. Every engine and
+  /// backend computes the same fixpoint, so these change only its speed
+  /// and memory, never the FPG or the MOM.
+  pta::SolverEngine PreEngine = pta::SolverEngine::Wave;
+  pta::SetRep PreRep = pta::SetRep::Chunked;
 };
 
 /// Everything the pipeline produced, including the timing breakdown the

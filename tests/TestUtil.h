@@ -114,6 +114,10 @@ struct GraphSpec {
     unsigned From, Field, To;
   };
   std::vector<Edge> Edges;
+  /// Per type, an optional supertype index (-1 or missing: none). A type
+  /// with a supertype declares no fields of its own and inherits f0..fN,
+  /// so objects of different types can have identical FPG adjacency.
+  std::vector<int> SuperOf;
 };
 
 /// Materializes \p G as a Program whose pre-analysis FPG is exactly G
@@ -124,6 +128,10 @@ inline std::unique_ptr<ir::Program> buildGraphProgram(const GraphSpec &G) {
   ir::ProgramBuilder B;
   for (unsigned T = 0; T < G.NumTypes; ++T) {
     std::string Name = "T" + std::to_string(T);
+    if (T < G.SuperOf.size() && G.SuperOf[T] >= 0) {
+      B.declClass(Name, "T" + std::to_string(G.SuperOf[T]));
+      continue;
+    }
     B.declClass(Name);
     for (unsigned F = 0; F < G.NumFields; ++F)
       B.declField(Name, "f" + std::to_string(F), "Object");

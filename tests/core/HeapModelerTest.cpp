@@ -280,26 +280,6 @@ TEST_P(HeapModelerPropertyTest, PartitionIndexMatchesPlainScan) {
   EXPECT_EQ(A.NumClasses, B.NumClasses);
 }
 
-TEST_P(HeapModelerPropertyTest, ParallelMatchesSerial) {
-  workload::WorkloadSpec Spec;
-  Spec.Seed = GetParam() + 100;
-  Spec.Modules = 3 + GetParam() % 4;
-  auto P = workload::buildSyntheticProgram(Spec);
-  ClassHierarchy CH(*P);
-  pta::AnalysisOptions PreOpts;
-  auto Pre = pta::runPointerAnalysis(*P, CH, PreOpts);
-  FieldPointsToGraph G(*Pre);
-
-  DFACache CacheA(G), CacheB(G);
-  HeapModelerOptions Serial;
-  Serial.Threads = 1;
-  HeapModelerOptions Parallel;
-  Parallel.Threads = 4;
-  HeapModelerResult A = modelHeap(G, CacheA, Serial);
-  HeapModelerResult B = modelHeap(G, CacheB, Parallel);
-  ASSERT_EQ(A.MOM, B.MOM) << "seed " << GetParam();
-}
-
 TEST_P(HeapModelerPropertyTest, AgreesWithDefinition21OnRandomGraphs) {
   std::mt19937 Rng(GetParam() * 27644437 + 3);
   GraphSpec G;

@@ -55,6 +55,27 @@ TEST(MahjongPipeline, ProducesTimingBreakdown) {
   EXPECT_EQ(MR.Heap->name(), "mahjong");
 }
 
+TEST(MahjongPipeline, PreAnalysisRunsTheChosenEngineAndBackend) {
+  workload::WorkloadSpec Spec;
+  Spec.Modules = 4;
+  auto P = workload::buildSyntheticProgram(Spec);
+  ClassHierarchy CH(*P);
+  std::vector<ObjId> Reference;
+  for (SolverEngine Engine : {SolverEngine::Naive, SolverEngine::Wave})
+    for (SetRep Rep : {SetRep::Chunked, SetRep::Hierarchy}) {
+      MahjongOptions Opts;
+      Opts.PreEngine = Engine;
+      Opts.PreRep = Rep;
+      MahjongResult MR = buildMahjongHeap(*P, CH, Opts);
+      EXPECT_EQ(MR.Pre->EngineName, solverEngineName(Engine));
+      EXPECT_EQ(MR.Pre->SetRepName, setRepName(Rep));
+      if (Reference.empty())
+        Reference = MR.MOM;
+      EXPECT_EQ(MR.MOM, Reference)
+          << solverEngineName(Engine) << " x " << setRepName(Rep);
+    }
+}
+
 class PipelineSweepTest
     : public ::testing::TestWithParam<std::tuple<ContextKind, unsigned>> {};
 

@@ -79,12 +79,10 @@ std::string dumpAllFacts(const PTAResult &R) {
   return OS.str();
 }
 
-std::string analyzeAndDump(unsigned ModelerThreads) {
+std::string analyzeAndDump() {
   auto P = parseOrDie(Src);
   ir::ClassHierarchy CH(*P);
-  core::MahjongOptions MOpts;
-  MOpts.Modeler.Threads = ModelerThreads;
-  core::MahjongResult MR = core::buildMahjongHeap(*P, CH, MOpts);
+  core::MahjongResult MR = core::buildMahjongHeap(*P, CH);
   pta::AnalysisOptions Opts;
   Opts.Kind = pta::ContextKind::Object;
   Opts.K = 2;
@@ -122,17 +120,13 @@ const char *Golden = "== VarPointsTo ==\n"
 } // namespace
 
 TEST(FactsGolden, MatchesEmbeddedGolden) {
-  EXPECT_EQ(analyzeAndDump(/*ModelerThreads=*/1), Golden);
+  EXPECT_EQ(analyzeAndDump(), Golden);
 }
 
-TEST(FactsGolden, ByteStableAcrossRunsAndThreadCounts) {
-  std::string Reference = analyzeAndDump(1);
-  // Repeated runs.
-  EXPECT_EQ(analyzeAndDump(1), Reference);
-  // The parallel modeler must not leak scheduling order into the dump.
-  for (unsigned Threads : {2u, 4u, 8u})
-    EXPECT_EQ(analyzeAndDump(Threads), Reference)
-        << "with " << Threads << " modeler threads";
+TEST(FactsGolden, ByteStableAcrossRuns) {
+  std::string Reference = analyzeAndDump();
+  for (int Run = 0; Run < 3; ++Run)
+    EXPECT_EQ(analyzeAndDump(), Reference) << "run " << Run;
 }
 
 TEST(FactsGolden, CiProjectionIsAlsoStable) {
