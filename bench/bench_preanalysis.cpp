@@ -463,7 +463,15 @@ int main(int Argc, char **Argv) {
     Row.SCCsCollapsed = CandR->Stats.SCCsCollapsed;
     Row.NodesCollapsed = CandR->Stats.NodesCollapsed;
     Row.FilterBitmapHits = CandR->Stats.FilterBitmapHits;
-    Row.Identical = pta::equivalentResults(*BaseR, *CandR);
+    // Digests, not the text-line comparison: at full scale the canonical
+    // lines of two solutions take tens of GB. The lines are built only on
+    // a mismatch, to name the first differing fact.
+    Row.Identical = pta::canonicalResultDigest(*BaseR) ==
+                    pta::canonicalResultDigest(*CandR);
+    std::string FirstDiff;
+    if (!Row.Identical && !pta::equivalentResults(*BaseR, *CandR, &FirstDiff))
+      std::fprintf(stderr, "%s: first difference: %s\n", Name.c_str(),
+                   FirstDiff.c_str());
     AllIdentical &= Row.Identical;
     if (Row.Identical && Row.BaseSetBytes != Row.CandSetBytes) {
       // SetBytes is a pure function of the solution (PR 5's contract):

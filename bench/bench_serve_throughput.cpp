@@ -12,6 +12,10 @@
 //   cold   a freshly decoded snapshot + empty cache per stream,
 //   warm   the same engine again, cache already populated.
 //
+// Both streams run through the traffic driver's loopback transport, so
+// they pay the serving request path (pin, dispatch, metrics) but no
+// socket. Each report's cache counters are the engine's running totals.
+//
 // Output is one JSON object (QPS + p50/p95/p99 per stream) so scripts can
 // track the numbers. The process exits nonzero if the warm stream fails
 // to beat the naive baseline by at least 5x — the serving subsystem's
@@ -21,7 +25,7 @@
 
 #include "BenchUtil.h"
 
-#include "serve/Traffic.h"
+#include "net/TrafficDriver.h"
 
 #include <chrono>
 
@@ -75,12 +79,13 @@ int main() {
     return 1;
   }
   double DecodeSeconds = secondsSince(T0);
-  serve::QueryEngine Engine(
-      std::shared_ptr<const serve::SnapshotData>(std::move(Decoded)));
-  serve::TrafficReport Cold = serve::runTraffic(Engine, W);
+  std::shared_ptr<const serve::SnapshotData> Data = std::move(Decoded);
+  net::SnapshotRegistry Registry(Data, "<memory>");
+  net::LoopbackTransport Loopback(Registry);
+  net::TrafficReport Cold = net::runTraffic(*Data, W, Loopback);
 
   // --- Warm stream: same engine, same key distribution. ---
-  serve::TrafficReport Warm = serve::runTraffic(Engine, W);
+  net::TrafficReport Warm = net::runTraffic(*Data, W, Loopback);
 
   double WarmOverNaive = NaiveQps > 0 ? Warm.QPS / NaiveQps : 0;
   std::printf("{\"program\": \"%s\", \"scale\": %.2f,\n"

@@ -14,7 +14,7 @@
 #include "net/Client.h"
 #include "net/Protocol.h"
 #include "net/SnapshotServer.h"
-#include "net/SocketTraffic.h"
+#include "net/TrafficDriver.h"
 #include "obs/FlightRecorder.h"
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
@@ -722,7 +722,6 @@ int cmdServeBench(int Argc, const char *const *Argv, std::ostream &Out,
     W.Clients = 2;
     W.QueriesPerClient = Connect.empty() ? 250 : 2500;
     W.DurationSeconds = 0;
-    W.Workers = 2;
   }
   int Exit = ExitOk;
   auto D = loadSnap(Argv[2], Err, Exit);
@@ -733,42 +732,32 @@ int cmdServeBench(int Argc, const char *const *Argv, std::ostream &Out,
   if (Heartbeat >= 0)
     W.HeartbeatSeconds = Heartbeat;
 
-  if (!Connect.empty()) {
-    // Socket mode: the snapshot argument still supplies the key pools,
-    // so the generated stream matches in-process mode byte for byte —
-    // only the transport differs.
-    net::SocketTrafficOptions SOpts;
-    std::string HpErr;
-    if (!net::parseHostPort(Connect, SOpts.Host, SOpts.Port, HpErr)) {
+  // --connect only picks the transport. The snapshot argument supplies
+  // the key pools either way, so the generated stream is the same in both
+  // modes.
+  std::unique_ptr<net::SnapshotRegistry> Local;
+  std::unique_ptr<net::Transport> Transport;
+  if (Connect.empty()) {
+    Local = std::make_unique<net::SnapshotRegistry>(D, Argv[2]);
+    Transport = std::make_unique<net::LoopbackTransport>(*Local);
+  } else {
+    std::string Host, HpErr;
+    uint16_t Port = 0;
+    if (!net::parseHostPort(Connect, Host, Port, HpErr)) {
       Err << "error: flag '--connect' got '" << Connect << "': " << HpErr
           << "\n";
       return ExitUsage;
     }
-    net::SocketTrafficReport Rep = net::runSocketTraffic(*D, W, SOpts, &Err);
-    Out << Rep.toJson() << "\n";
-    if (!MetricsOut.empty()) {
-      if (!writeTextFile(MetricsOut, Rep.MetricsJson, Err))
-        return ExitIOError;
-    }
-    if (Rep.Queries == 0 || Rep.Failed != 0 || Rep.TransportErrors != 0) {
-      Err << "error: serve-bench answered " << Rep.Queries
-          << " queries with " << Rep.Failed << " failures and "
-          << Rep.TransportErrors << " transport errors\n";
-      return ExitAnalysisError;
-    }
-    return ExitOk;
+    Transport = std::make_unique<net::SocketTransport>(Host, Port);
   }
-
-  serve::QueryEngine Engine(D);
-  serve::TrafficReport Rep = serve::runTraffic(Engine, W, &Err);
+  net::TrafficReport Rep = net::runTraffic(*D, W, *Transport, &Err);
   Out << Rep.toJson() << "\n";
-  if (!MetricsOut.empty()) {
-    if (!writeTextFile(MetricsOut, Rep.toJson(), Err))
-      return ExitIOError;
-  }
-  if (Rep.Queries == 0 || Rep.Failed != 0) {
-    Err << "error: serve-bench answered " << Rep.Queries << " queries with "
-        << Rep.Failed << " failures\n";
+  if (!MetricsOut.empty() && !writeTextFile(MetricsOut, Rep.toJson(), Err))
+    return ExitIOError;
+  if (Rep.Queries == 0 || Rep.Failed != 0 || Rep.TransportErrors != 0) {
+    Err << "error: serve-bench answered " << Rep.Queries
+        << " queries with " << Rep.Failed << " failures and "
+        << Rep.TransportErrors << " transport errors\n";
     return ExitAnalysisError;
   }
   return ExitOk;

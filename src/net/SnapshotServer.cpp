@@ -6,8 +6,6 @@
 
 #include "net/SnapshotServer.h"
 
-#include "obs/Trace.h"
-
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
@@ -19,7 +17,6 @@
 #include <cctype>
 #include <cerrno>
 #include <chrono>
-#include <cstdio>
 #include <cstring>
 #include <iostream>
 
@@ -27,13 +24,6 @@ using namespace mahjong;
 using namespace mahjong::net;
 
 namespace {
-
-uint64_t nowNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 std::string_view trimText(std::string_view S) {
   while (!S.empty() && std::isspace(static_cast<unsigned char>(S.front())))
@@ -81,7 +71,8 @@ void splitVerbKey(std::string_view Text, std::string_view &Verb,
 
 SnapshotServer::SnapshotServer(SnapshotRegistry &Registry,
                                ServerConfig Config)
-    : Registry(Registry), Config(std::move(Config)) {}
+    : Registry(Registry), Config(std::move(Config)),
+      Exec(Registry, Metrics, this->Config.Recorder) {}
 
 SnapshotServer::~SnapshotServer() { stop(); }
 
@@ -145,29 +136,15 @@ bool SnapshotServer::start(std::string &Err) {
     }
   }
 
-  // Pre-register every series so the exposition shows them at zero from
-  // the first scrape (Prometheus best practice: existence > absence).
+  // Pre-register every transport series so the exposition shows them at
+  // zero from the first scrape (Prometheus best practice: existence >
+  // absence); the executor registers the request series itself.
   for (const char *Name :
        {"net.accepted_total", "net.closed_total", "net.frames_total",
-        "net.lines_total", "net.queries_total", "net.query_errors_total",
-        "net.protocol_errors_total", "net.slow_reader_disconnects_total",
-        "net.swaps_total", "net.swap_failures_total",
-        "net.bytes_read_total", "net.bytes_written_total",
-        "net.slow_queries_total"})
+        "net.lines_total", "net.protocol_errors_total",
+        "net.slow_reader_disconnects_total", "net.swap_failures_total",
+        "net.bytes_read_total", "net.bytes_written_total"})
     Metrics.counter(Name);
-  Metrics.gauge("net.active_conns");
-  Metrics.gauge("net.retired_snapshots");
-  Metrics.gauge("net.current_epoch")
-      .set(static_cast<double>(Registry.pin()->epoch()));
-  Metrics.histogram("net.request_ns");
-  Metrics.histogram("net.queue_delay_ns");
-  if (Config.Recorder) {
-    Metrics.gauge("flight.lanes");
-    Metrics.gauge("flight.recorded_total");
-    Metrics.gauge("flight.dropped_total");
-    Metrics.gauge("flight.overflow_dropped");
-  }
-  StartedAt = std::chrono::steady_clock::now();
 
   if (Config.Workers > 0)
     Pool = std::make_unique<ThreadPool>(Config.Workers);
@@ -572,17 +549,16 @@ void SnapshotServer::drainQueue(const std::shared_ptr<Conn> &C) {
       Req = std::move(C->Queue.front());
       C->Queue.pop_front();
     }
-    uint64_t ExecStartNs = nowNs();
     // parsed -> executing is pure queueing: inline mode measures the
     // loop's maintenance latency, pool mode the handoff + queue wait.
-    Metrics.histogram("net.queue_delay_ns")
-        .record(ExecStartNs - Req.StartNs);
+    uint64_t ExecStartNs = nowNs();
     Response R;
-    {
-      MAHJONG_SPAN("net-exec");
-      R = execute(Req);
-    }
-    Metrics.histogram("net.request_ns").record(nowNs() - Req.StartNs);
+    if (Req.ParseError)
+      // Answered in queue order, but the snapshot never saw it: Ok stays
+      // false and there is no digest/epoch stamp.
+      R.Text = Req.Text;
+    else
+      R = Exec.execute(Req.Type, Req.Text, Req.StartNs, ExecStartNs);
     respond(C, R);
     uint64_t RespNs = nowNs();
     if (Config.SlowQueryMicros &&
@@ -593,126 +569,7 @@ void SnapshotServer::drainQueue(const std::shared_ptr<Conn> &C) {
     wake(); // flush our responses; pump() reruns from the loop pass
 }
 
-Response SnapshotServer::execute(const PendingReq &Req) {
-  if (Req.ParseError) {
-    // Answered like any queued request, but the snapshot never saw it:
-    // Ok stays false and there is no digest/epoch stamp.
-    Response R;
-    R.Text = Req.Text;
-    return R;
-  }
-  std::shared_ptr<const ServingSnapshot> Snap = Registry.pin();
-  Response R;
-  R.Digest = Snap->digest();
-  R.Epoch = Snap->epoch();
-  if (Req.Type == MsgType::Ping) {
-    R.Ok = true;
-    return R;
-  }
-  Metrics.counter("net.queries_total").inc();
-  std::string_view Text = trimText(Req.Text);
-  if (Text == "health") {
-    R.Ok = true;
-    R.Text = healthText();
-    return R;
-  }
-  if (Text == "trace-dump") {
-    if (!Config.Recorder) {
-      R.Ok = false;
-      R.Text = "no flight recorder installed (serve runs one by default)";
-      Metrics.counter("net.query_errors_total").inc();
-      return R;
-    }
-    // Leave headroom for the response envelope inside one frame.
-    R.Ok = true;
-    R.Text = Config.Recorder->renderJson(MaxFramePayload - 4096);
-    return R;
-  }
-  if (Text == "stats") {
-    // The server answers `stats` itself so the exposition covers both
-    // the pinned engine's counters and the net.* tier.
-    serve::QueryResult QR = Snap->engine().run(Text);
-    R.Ok = QR.Ok;
-    for (const std::string &Line : QR.Items) {
-      R.Text += Line;
-      R.Text += '\n';
-    }
-    R.Text += statsText();
-    return R;
-  }
-  serve::QueryResult QR = Snap->engine().run(Text);
-  R.Ok = QR.Ok;
-  if (QR.Ok) {
-    R.Text = QR.toString();
-  } else {
-    R.Text = QR.Error;
-    Metrics.counter("net.query_errors_total").inc();
-  }
-  return R;
-}
-
-void SnapshotServer::refreshGauges() const {
-  Metrics.counter("net.swaps_total")
-      .set(Registry.swapCount());
-  Metrics.gauge("net.retired_snapshots").set(
-      static_cast<double>(Registry.retiredAlive()));
-  Metrics.gauge("net.current_epoch")
-      .set(static_cast<double>(Registry.pin()->epoch()));
-  if (const obs::FlightRecorder *FR = Config.Recorder) {
-    Metrics.gauge("flight.lanes").set(FR->laneCount());
-    Metrics.gauge("flight.recorded_total")
-        .set(static_cast<double>(FR->recordedTotal()));
-    Metrics.gauge("flight.dropped_total")
-        .set(static_cast<double>(FR->droppedTotal()));
-    Metrics.gauge("flight.overflow_dropped")
-        .set(static_cast<double>(FR->overflowDropped()));
-  }
-}
-
-std::string SnapshotServer::statsText() const {
-  refreshGauges();
-  return Metrics.toPrometheus();
-}
-
-std::string SnapshotServer::healthText() {
-  std::shared_ptr<const ServingSnapshot> Snap = Registry.pin();
-  double Uptime = std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - StartedAt)
-                      .count();
-  const LogHistogram &QD = Metrics.histogram("net.queue_delay_ns");
-  char Buf[64];
-  std::string Out = "{\"status\":\"ok\",\"epoch\":";
-  Out += std::to_string(Snap->epoch());
-  std::snprintf(Buf, sizeof(Buf), ",\"digest\":\"%016llx\"",
-                static_cast<unsigned long long>(Snap->digest()));
-  Out += Buf;
-  std::snprintf(Buf, sizeof(Buf), ",\"uptime_seconds\":%.3f", Uptime);
-  Out += Buf;
-  Out += ",\"active_conns\":";
-  Out += std::to_string(
-      static_cast<uint64_t>(Metrics.gauge("net.active_conns").value()));
-  Out += ",\"queries_total\":";
-  Out += std::to_string(Metrics.counter("net.queries_total").value());
-  Out += ",\"slow_queries_total\":";
-  Out += std::to_string(Metrics.counter("net.slow_queries_total").value());
-  Out += ",\"queue_delay_p50_us\":";
-  Out += std::to_string(QD.percentile(0.50) / 1000);
-  Out += ",\"queue_delay_p99_us\":";
-  Out += std::to_string(QD.percentile(0.99) / 1000);
-  if (const obs::FlightRecorder *FR = Config.Recorder) {
-    Out += ",\"flight_recorder\":{\"lanes\":";
-    Out += std::to_string(FR->laneCount());
-    Out += ",\"recorded\":";
-    Out += std::to_string(FR->recordedTotal());
-    Out += ",\"dropped\":";
-    Out += std::to_string(FR->droppedTotal() + FR->overflowDropped());
-    Out += '}';
-  } else {
-    Out += ",\"flight_recorder\":null";
-  }
-  Out += '}';
-  return Out;
-}
+void SnapshotServer::refreshGauges() const { Exec.refreshGauges(); }
 
 void SnapshotServer::emitSlowQuery(const PendingReq &Req, const Response &R,
                                    uint64_t ExecStartNs, uint64_t RespNs) {

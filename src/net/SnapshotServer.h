@@ -32,8 +32,9 @@
 /// response order. Graceful shutdown stops accepting, drains queued
 /// requests and write buffers up to a deadline, then linger-closes.
 ///
-/// Every response is stamped with the digest/epoch of the one snapshot
-/// pinned for that request (see SnapshotRegistry.h).
+/// What each request means — verb dispatch, the per-request pin, the
+/// digest/epoch stamp of that snapshot, the request metrics — is the
+/// RequestExecutor's; the server adds the transport around it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -41,6 +42,7 @@
 #define MAHJONG_NET_SNAPSHOTSERVER_H
 
 #include "net/Protocol.h"
+#include "net/RequestExecutor.h"
 #include "net/SnapshotRegistry.h"
 #include "obs/FlightRecorder.h"
 #include "obs/Metrics.h"
@@ -174,14 +176,11 @@ private:
   /// Drains C's queue until empty or paused; runs on the loop thread
   /// (inline mode) or a pool worker.
   void drainQueue(const std::shared_ptr<Conn> &C);
-  Response execute(const PendingReq &Req);
   void respond(const std::shared_ptr<Conn> &C, const Response &R);
   void failProtocol(const std::shared_ptr<Conn> &C, const std::string &Why);
   void closeConn(uint64_t Id);
   void fifoReadable();
   void swapLoop();
-  std::string statsText() const;
-  std::string healthText();
   /// One structured line to Config.SlowLog (default stderr) describing
   /// a request whose total latency met Config.SlowQueryMicros.
   void emitSlowQuery(const PendingReq &Req, const Response &R,
@@ -207,7 +206,6 @@ private:
   std::thread LoopThread;
   std::atomic<uint64_t> NextReqId{1};
   std::mutex SlowLogMu; ///< slow-query lines stay unfragmented
-  std::chrono::steady_clock::time_point StartedAt{};
 
   std::unique_ptr<ThreadPool> Pool; ///< only when Config.Workers > 0
 
@@ -218,6 +216,9 @@ private:
   bool SwapStop = false;
 
   mutable obs::MetricsRegistry Metrics;
+  /// Verb dispatch, pinning, stamping and the request metrics; declared
+  /// after Metrics, whose series it resolves at construction.
+  RequestExecutor Exec;
 };
 
 } // namespace mahjong::net

@@ -12,7 +12,6 @@
 #include "support/Varint.h"
 
 #include <algorithm>
-#include <cassert>
 #include <fstream>
 #include <sstream>
 
@@ -230,10 +229,7 @@ SnapshotData mahjong::serve::buildSnapshot(const pta::PTAResult &R) {
   return D;
 }
 
-std::string mahjong::serve::encodeSnapshot(const SnapshotData &D,
-                                           uint32_t Version) {
-  assert(Version >= SnapshotMinSupported && Version <= SnapshotVersion &&
-         "cannot encode an unknown snapshot version");
+std::string mahjong::serve::encodeSnapshot(const SnapshotData &D) {
   std::string Payload, Body;
 
   Body.clear();
@@ -286,13 +282,7 @@ std::string mahjong::serve::encodeSnapshot(const SnapshotData &D,
   putSection(Payload, SecObjs, Body);
 
   Body.clear();
-  if (Version >= 2) {
-    putFrontCodedSets(Body, D.PtsSets);
-  } else {
-    putVarint(Body, D.PtsSets.size());
-    for (const std::vector<uint32_t> &S : D.PtsSets)
-      putDeltaList(Body, S);
-  }
+  putFrontCodedSets(Body, D.PtsSets);
   putSection(Payload, SecPtsSets, Body);
 
   Body.clear();
@@ -315,7 +305,7 @@ std::string mahjong::serve::encodeSnapshot(const SnapshotData &D,
 
   std::string Out;
   Out.append(Magic, sizeof(Magic));
-  putFixed32(Out, Version);
+  putFixed32(Out, SnapshotVersion);
   putFixed64(Out, fnv1a64(Payload));
   putFixed64(Out, Payload.size());
   Out += Payload;
@@ -327,7 +317,7 @@ uint64_t mahjong::serve::snapshotDigest(const SnapshotData &D) {
   // function of the decoded content alone: a v1 file and its v2
   // re-encoding digest identically, while any answer-visible difference
   // (a set, an edge, a name) changes it.
-  return fnv1a64(encodeSnapshot(D, SnapshotVersion));
+  return fnv1a64(encodeSnapshot(D));
 }
 
 namespace {

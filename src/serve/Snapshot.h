@@ -143,12 +143,9 @@ SnapshotData buildSnapshot(const pta::PTAResult &R);
 /// this value so clients can tell which published snapshot answered.
 uint64_t snapshotDigest(const SnapshotData &D);
 
-/// Serializes \p D into .mjsnap bytes (header + checksummed payload).
-/// \p Version selects the wire format ([SnapshotMinSupported,
-/// SnapshotVersion]); writing an older version exists for compatibility
-/// tests and for feeding consumers that have not upgraded yet.
-std::string encodeSnapshot(const SnapshotData &D,
-                           uint32_t Version = SnapshotVersion);
+/// Serializes \p D into current-version (SnapshotVersion) .mjsnap bytes
+/// (header + checksummed payload). Older versions are read, not written.
+std::string encodeSnapshot(const SnapshotData &D);
 
 /// Decodes and validates .mjsnap bytes. \returns null with a diagnostic
 /// in \p Err on bad magic, unsupported version, checksum mismatch,

@@ -1,4 +1,4 @@
-//===-- serve/Traffic.cpp - Workload spec and traffic driver -----------------===//
+//===-- serve/Traffic.cpp - Workload spec and query generator ----------------===//
 //
 // Part of mahjong-cpp. Distributed under the MIT license.
 //
@@ -9,16 +9,10 @@
 #include "support/Hashing.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cctype>
-#include <chrono>
 #include <cmath>
-#include <condition_variable>
 #include <cstdlib>
-#include <mutex>
-#include <ostream>
 #include <sstream>
-#include <thread>
 
 using namespace mahjong;
 using namespace mahjong::serve;
@@ -106,14 +100,6 @@ bool mahjong::serve::parseWorkloadSpec(std::string_view Text,
       if (!parseDouble(Value, F))
         return Fail("need a non-negative number");
       W.ZipfS = F;
-    } else if (Key == "workers") {
-      if (!parseUnsigned(Value, U))
-        return Fail("need an integer");
-      W.Workers = static_cast<unsigned>(U);
-    } else if (Key == "max_batch") {
-      if (!parseUnsigned(Value, U) || U == 0)
-        return Fail("need a positive integer");
-      W.MaxBatch = static_cast<unsigned>(U);
     } else if (Key == "heartbeat_seconds") {
       if (!parseDouble(Value, F))
         return Fail("need a non-negative number");
@@ -250,154 +236,4 @@ std::string QueryGenerator::next(QueryKind *KindOut) {
   if (Pick < W.WeightCallers)
     return Emit(QueryKind::Callers, "callers " + Sig);
   return Emit(QueryKind::Callees, "callees " + Sig);
-}
-
-//===----------------------------------------------------------------------===//
-// Traffic replay
-//===----------------------------------------------------------------------===//
-
-std::string TrafficReport::toJson() const {
-  std::ostringstream OS;
-  OS << "{\"queries\": " << Queries << ", \"failed\": " << Failed
-     << ", \"seconds\": " << Seconds << ", \"qps\": " << QPS
-     << ", \"p50_us\": " << P50Micros << ", \"p95_us\": " << P95Micros
-     << ", \"p99_us\": " << P99Micros
-     << ", \"queue_delay_p50_us\": " << QueueDelayP50Micros
-     << ", \"queue_delay_p95_us\": " << QueueDelayP95Micros
-     << ", \"queue_delay_p99_us\": " << QueueDelayP99Micros
-     << ", \"slow_queries\": " << SlowQueries
-     << ", \"cache_hits\": " << Cache.Hits
-     << ", \"cache_misses\": " << Cache.Misses
-     << ", \"cache_evictions\": " << Cache.Evictions
-     << ", \"cache_retired\": " << Cache.Retired
-     << ", \"batches\": " << Server.Batches
-     << ", \"max_batch\": " << Server.MaxBatchObserved << ", \"kinds\": {";
-  bool First = true;
-  for (unsigned K = 0; K < NumDataQueryKinds; ++K) {
-    const KindLatency &KL = Kinds[K];
-    if (KL.Count == 0)
-      continue;
-    if (!First)
-      OS << ", ";
-    First = false;
-    OS << "\"" << queryKindName(static_cast<QueryKind>(K))
-       << "\": {\"count\": " << KL.Count << ", \"p50_us\": " << KL.P50Micros
-       << ", \"p95_us\": " << KL.P95Micros
-       << ", \"p99_us\": " << KL.P99Micros << "}";
-  }
-  OS << "}}";
-  return OS.str();
-}
-
-TrafficReport mahjong::serve::runTraffic(const QueryEngine &Engine,
-                                         const QueryWorkload &W,
-                                         std::ostream *Progress) {
-  using Clock = std::chrono::steady_clock;
-  QueryServer Server(Engine, W.Workers, W.MaxBatch);
-
-  // Latency is recorded straight into shared histograms — thread-safe
-  // (relaxed atomic counts) and O(1) memory regardless of query volume,
-  // and the same reservoir the heartbeat thread reads live.
-  LogHistogram OverallNs;
-  LogHistogram PerKindNs[NumDataQueryKinds];
-  std::atomic<uint64_t> Completed{0}, Failed{0}, Slow{0};
-
-  std::vector<std::thread> Clients;
-  Clients.reserve(W.Clients);
-
-  Clock::time_point Start = Clock::now();
-  Clock::time_point Deadline =
-      W.DurationSeconds > 0
-          ? Start + std::chrono::duration_cast<Clock::duration>(
-                        std::chrono::duration<double>(W.DurationSeconds))
-          : Clock::time_point::max();
-
-  for (unsigned C = 0; C < W.Clients; ++C) {
-    Clients.emplace_back([&, C] {
-      QueryGenerator Gen(Engine.data(), W, C);
-      for (uint64_t I = 0;; ++I) {
-        if (W.DurationSeconds > 0) {
-          if (Clock::now() >= Deadline)
-            break;
-        } else if (I >= W.QueriesPerClient) {
-          break;
-        }
-        QueryKind Kind = QueryKind::PointsTo;
-        std::string Text = Gen.next(&Kind);
-        Clock::time_point T0 = Clock::now();
-        QueryResult R = Server.submit(std::move(Text)).get();
-        Clock::time_point T1 = Clock::now();
-        uint64_t Ns = static_cast<uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(T1 - T0)
-                .count());
-        OverallNs.record(Ns);
-        PerKindNs[static_cast<unsigned>(Kind)].record(Ns);
-        Completed.fetch_add(1, std::memory_order_relaxed);
-        Failed.fetch_add(!R.Ok, std::memory_order_relaxed);
-        if (W.SlowQueryMicros && Ns >= W.SlowQueryMicros * 1000)
-          Slow.fetch_add(1, std::memory_order_relaxed);
-      }
-    });
-  }
-
-  // The heartbeat thread reads the shared counters the clients are still
-  // writing — by design: progress lines must reflect the live run.
-  std::mutex HeartbeatMu;
-  std::condition_variable HeartbeatCv;
-  bool Done = false;
-  std::thread Heartbeat;
-  if (Progress && W.HeartbeatSeconds > 0) {
-    Heartbeat = std::thread([&] {
-      auto Period = std::chrono::duration<double>(W.HeartbeatSeconds);
-      std::unique_lock<std::mutex> Lock(HeartbeatMu);
-      while (!HeartbeatCv.wait_for(Lock, Period, [&] { return Done; })) {
-        double T =
-            std::chrono::duration<double>(Clock::now() - Start).count();
-        uint64_t N = Completed.load(std::memory_order_relaxed);
-        std::ostringstream Line;
-        Line << "[serve-bench] t=" << T << "s queries=" << N
-             << " qps=" << (T > 0 ? N / T : 0) << "\n";
-        *Progress << Line.str() << std::flush;
-      }
-    });
-  }
-
-  for (std::thread &T : Clients)
-    T.join();
-  if (Heartbeat.joinable()) {
-    {
-      std::lock_guard<std::mutex> Lock(HeartbeatMu);
-      Done = true;
-    }
-    HeartbeatCv.notify_all();
-    Heartbeat.join();
-  }
-  double Seconds =
-      std::chrono::duration<double>(Clock::now() - Start).count();
-
-  TrafficReport Rep;
-  Rep.Queries = Completed.load(std::memory_order_relaxed);
-  Rep.Failed = Failed.load(std::memory_order_relaxed);
-  Rep.Seconds = Seconds;
-  Rep.QPS = Seconds > 0 ? Rep.Queries / Seconds : 0;
-  Rep.P50Micros = OverallNs.percentile(0.50) / 1000.0;
-  Rep.P95Micros = OverallNs.percentile(0.95) / 1000.0;
-  Rep.P99Micros = OverallNs.percentile(0.99) / 1000.0;
-  const LogHistogram &QueueNs = Server.queueDelayNs();
-  Rep.QueueDelayP50Micros = QueueNs.percentile(0.50) / 1000.0;
-  Rep.QueueDelayP95Micros = QueueNs.percentile(0.95) / 1000.0;
-  Rep.QueueDelayP99Micros = QueueNs.percentile(0.99) / 1000.0;
-  Rep.SlowQueries = Slow.load(std::memory_order_relaxed);
-  for (unsigned K = 0; K < NumDataQueryKinds; ++K) {
-    TrafficReport::KindLatency &KL = Rep.Kinds[K];
-    KL.Count = PerKindNs[K].count();
-    if (KL.Count == 0)
-      continue;
-    KL.P50Micros = PerKindNs[K].percentile(0.50) / 1000.0;
-    KL.P95Micros = PerKindNs[K].percentile(0.95) / 1000.0;
-    KL.P99Micros = PerKindNs[K].percentile(0.99) / 1000.0;
-  }
-  Rep.Cache = Engine.cacheStats();
-  Rep.Server = Server.stats();
-  return Rep;
 }

@@ -1,4 +1,4 @@
-//===-- serve/Traffic.h - Workload spec and traffic driver ----*- C++ -*-===//
+//===-- serve/Traffic.h - Workload spec and query generator ---*- C++ -*-===//
 //
 // Part of mahjong-cpp. Distributed under the MIT license.
 //
@@ -7,10 +7,9 @@
 /// \file
 /// A genny-style declarative traffic model for the query engine: a
 /// QueryWorkload fixes the client count, per-client volume (or duration),
-/// query-mix ratios and key distribution, and the driver replays it with
-/// real client threads against a QueryServer, measuring per-request
-/// latency end to end (submit to future resolution) and reporting QPS
-/// with p50/p95/p99.
+/// query-mix ratios and key distribution, and QueryGenerator turns it
+/// into each client's deterministic query stream. net::runTraffic
+/// (net/TrafficDriver.h) replays it with real client threads.
 ///
 /// Spec files are "key = value" lines ('#' comments). Example:
 ///
@@ -31,9 +30,7 @@
 #define MAHJONG_SERVE_TRAFFIC_H
 
 #include "serve/QueryEngine.h"
-#include "serve/Server.h"
 
-#include <iosfwd>
 #include <string>
 #include <string_view>
 
@@ -48,16 +45,14 @@ struct QueryWorkload {
   uint64_t Seed = 1;
   /// Zipf skew of key ranks (s parameter); 0 selects uniform keys.
   double ZipfS = 0;
-  unsigned Workers = 0;  ///< broker workers; 0 = hardware concurrency
-  unsigned MaxBatch = 16;
   /// When > 0 the driver emits a progress heartbeat line at this period
   /// (spec key: heartbeat_seconds). 0 disables it.
   double HeartbeatSeconds = 0;
-  /// Socket mode only: reconnect each client every this many queries
-  /// (connection churn). 0 = one connection per client for the run.
+  /// Reopen each client's channel every this many queries (connection
+  /// churn). 0 = one channel per client for the run.
   uint64_t ChurnEvery = 0;
-  /// Socket mode only: phased ramp — client C starts C * ramp_seconds
-  /// into the run. 0 = all clients start together.
+  /// Phased ramp — client C starts C * ramp_seconds into the run.
+  /// 0 = all clients start together.
   double RampSeconds = 0;
   /// Requests whose end-to-end latency reaches this many microseconds
   /// count as slow queries in the report (spec key: slow_query_us).
@@ -75,40 +70,6 @@ struct QueryWorkload {
 /// Parses a spec file body. Unknown keys and malformed lines are errors.
 bool parseWorkloadSpec(std::string_view Text, QueryWorkload &W,
                        std::string &Err);
-
-/// What one traffic replay measured. Percentiles come from the shared
-/// log-bucketed LogHistogram (bucket midpoints), not a sorted sample
-/// vector, so memory stays O(1) in the query count.
-struct TrafficReport {
-  uint64_t Queries = 0;
-  uint64_t Failed = 0; ///< answers with Ok == false
-  double Seconds = 0;
-  double QPS = 0;
-  double P50Micros = 0;
-  double P95Micros = 0;
-  double P99Micros = 0;
-  /// Broker-side submit-to-pickup delay percentiles, from the server's
-  /// queue-delay histogram. The socket bench reports the same keys.
-  double QueueDelayP50Micros = 0;
-  double QueueDelayP95Micros = 0;
-  double QueueDelayP99Micros = 0;
-  /// End-to-end latencies at or above the workload's slow_query_us
-  /// threshold (always 0 when the threshold is unset).
-  uint64_t SlowQueries = 0;
-  /// Latency broken down by query kind (indexed by QueryKind).
-  struct KindLatency {
-    uint64_t Count = 0;
-    double P50Micros = 0;
-    double P95Micros = 0;
-    double P99Micros = 0;
-  };
-  KindLatency Kinds[NumDataQueryKinds];
-  QueryCache::Stats Cache;
-  ServerStats Server;
-
-  /// One JSON object, stable key order, for scripts and CI assertions.
-  std::string toJson() const;
-};
 
 /// Deterministic query-text generator over a snapshot: kind by mix
 /// weights, keys by the configured rank distribution. Each client owns
@@ -134,14 +95,6 @@ private:
   unsigned TotalWeight;
   std::vector<double> ZipfCdf; ///< lazily sized per key-pool maximum
 };
-
-/// Replays \p W against \p Engine through a QueryServer. Spawns
-/// W.Clients threads, each a closed loop (generate, submit, wait).
-/// When \p Progress is non-null and W.HeartbeatSeconds > 0, a heartbeat
-/// thread prints "[serve-bench] t=... queries=... qps=..." lines to it
-/// at that period while the clients run.
-TrafficReport runTraffic(const QueryEngine &Engine, const QueryWorkload &W,
-                         std::ostream *Progress = nullptr);
 
 } // namespace mahjong::serve
 

@@ -261,7 +261,7 @@ TEST(CliSmoke, ServeBenchSpecErrorsAreExit3) {
             cli::ExitIOError);
 
   std::string GoodSpec = writeFile(
-      "good.spec", "clients = 2\nqueries_per_client = 50\nworkers = 2\n");
+      "good.spec", "clients = 2\nqueries_per_client = 50\n");
   R = run({"serve-bench", Snap, "--spec", GoodSpec});
   ASSERT_EQ(R.Exit, cli::ExitOk) << R.Err;
   EXPECT_NE(R.Out.find("\"queries\": 100"), std::string::npos) << R.Out;

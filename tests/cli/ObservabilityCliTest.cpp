@@ -289,7 +289,6 @@ TEST(ObservabilityCli, ServeBenchReportsKindsAndHeartbeat) {
 
   std::string Spec = writeFile("obs_bench.spec", "clients = 2\n"
                                                  "duration_seconds = 0.3\n"
-                                                 "workers = 2\n"
                                                  "heartbeat_seconds = 0.05\n");
   CliRun B = run({"serve-bench", Snap, "--spec", Spec});
   ASSERT_EQ(B.Exit, cli::ExitOk) << B.Err;

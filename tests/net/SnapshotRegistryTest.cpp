@@ -114,7 +114,7 @@ TEST(SnapshotRegistry, SwapFromFilePublishesTheDecodedSnapshot) {
   std::string Path = testing::TempDir() + "/swap_ok.mjsnap";
   {
     std::ofstream Out(Path, std::ios::binary);
-    Out << serve::encodeSnapshot(*Data, serve::SnapshotVersion);
+    Out << serve::encodeSnapshot(*Data);
   }
   SnapshotRegistry Reg(snapTwoObjects(), "a");
   std::string Err;

@@ -65,7 +65,7 @@ std::string writeSnapshotFile(const serve::SnapshotData &D,
                               const std::string &Name) {
   std::string Path = testing::TempDir() + "/" + Name;
   std::ofstream Out(Path, std::ios::binary);
-  Out << serve::encodeSnapshot(D, serve::SnapshotVersion);
+  Out << serve::encodeSnapshot(D);
   return Path;
 }
 

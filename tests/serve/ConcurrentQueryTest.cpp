@@ -5,7 +5,7 @@
 //===----------------------------------------------------------------------===//
 //
 // The concurrent serving contract: >= 8 client threads hammering one
-// QueryEngine (and one QueryServer) must race nowhere — every answer must
+// QueryEngine (and one request executor) must race nowhere — every answer must
 // equal the single-threaded answer, under heavy cache contention and a
 // capacity small enough to force constant eviction. Run under
 // -DMAHJONG_SANITIZE=thread these tests are the TSan proof of the
@@ -13,7 +13,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "serve/Server.h"
+#include "net/TrafficDriver.h"
 #include "support/Hashing.h"
 
 #include "../TestUtil.h"
@@ -113,34 +113,40 @@ TEST(ConcurrentQuery, EngineAnswersAreRaceFree) {
 }
 
 TEST(ConcurrentQuery, ServerAnswersAreRaceFree) {
+  // The serving request path — registry pin, executor dispatch, the
+  // shared net.* metrics — raced through the loopback transport, one
+  // channel per thread, against the serial answers.
   Analyzed A = contentionFixture();
-  QueryEngine E(std::make_shared<SnapshotData>(buildSnapshot(*A.R)));
-  Corpus C = buildCorpus(E);
-  QueryServer Server(E, /*Workers=*/4, /*MaxBatch=*/8);
+  auto Data = std::make_shared<const SnapshotData>(buildSnapshot(*A.R));
+  Corpus C = buildCorpus(QueryEngine(Data));
+  net::SnapshotRegistry Registry(Data, "<memory>");
+  net::LoopbackTransport T(Registry);
+  const uint64_t Digest = snapshotDigest(*Data);
 
-  std::atomic<uint64_t> Mismatches{0};
+  std::atomic<uint64_t> Mismatches{0}, Answered{0};
   std::vector<std::thread> Threads;
-  for (unsigned T = 0; T < NumClients; ++T) {
-    Threads.emplace_back([&, T] {
-      uint64_t Rng = splitmix64(0x5e4 + T);
-      for (unsigned I = 0; I < QueriesPerClient / 4; ++I) {
+  for (unsigned Th = 0; Th < NumClients; ++Th) {
+    Threads.emplace_back([&, Th] {
+      std::string Err;
+      std::unique_ptr<net::Channel> Chan = T.open(Err);
+      uint64_t Rng = splitmix64(0x5e4 + Th);
+      for (unsigned I = 0; Chan && I < QueriesPerClient / 4; ++I) {
         Rng = splitmix64(Rng);
         size_t Pick = Rng % C.Texts.size();
-        QueryResult R = Server.submit(C.Texts[Pick]).get();
-        if (R.toString() != C.Expected[Pick])
+        net::Response R;
+        if (!Chan->roundTrip(C.Texts[Pick], R, Err))
+          break;
+        Answered.fetch_add(1, std::memory_order_relaxed);
+        if ((R.Ok ? R.Text : "error: " + R.Text) != C.Expected[Pick] ||
+            R.Digest != Digest || R.Epoch != 1)
           Mismatches.fetch_add(1, std::memory_order_relaxed);
       }
     });
   }
   for (std::thread &Th : Threads)
     Th.join();
-  Server.drain();
+  EXPECT_EQ(Answered.load(), NumClients * (QueriesPerClient / 4));
   EXPECT_EQ(Mismatches.load(), 0u);
-
-  ServerStats S = Server.stats();
-  EXPECT_EQ(S.Requests, NumClients * (QueriesPerClient / 4));
-  EXPECT_GE(S.Batches, 1u);
-  EXPECT_LE(S.MaxBatchObserved, 8u);
 }
 
 TEST(ConcurrentQuery, ManyEnginesShareOneSnapshot) {

@@ -267,17 +267,27 @@ TEST(Snapshot, DedupSharesIdenticalSets) {
 }
 
 TEST(Snapshot, WritesV1ForOldConsumersAndStillLoadsIt) {
-  // encodeSnapshot(D, 1) emits the legacy plain-delta-list table; this
-  // build must keep decoding it (SnapshotMinSupported == 1) with content
-  // identical to the v2 path.
-  SnapshotData D = analyzedSnapshot();
-  std::string V1 = encodeSnapshot(D, 1);
-  std::string V2 = encodeSnapshot(D);
+  // analyzedSnapshot() as the last v1 writer (encodeSnapshot(D, 1)) wrote
+  // it: plain delta lists in the dedup table. This build no longer writes
+  // v1 but must keep decoding it (SnapshotMinSupported == 1) with content
+  // identical to the current encoding.
+  const char *V1Hex =
+    "4d4a534e415001000000c37e1e4bef1a079ed900000000000000010e0263690a"
+    "616c6c6f632d73697465022d05064f626a656374000100046e756c6c02050001"
+    "01010101410002000201420003000201044d61696e00020004030100041c0305"
+    "412e6d2f310105422e6d2f31010b4d61696e2e6d61696e2f300105550f047468"
+    "6973000101700003042472657400030424657863000004746869730103017001"
+    "0304247265740103042465786301000424726574020004246578630200016102"
+    "0101620203017802020172020301630203060703010002030303070904000101"
+    "020101010208060100020200010904010c0302";
+  std::string V1;
+  for (const char *P = V1Hex; P[0] && P[1]; P += 2)
+    V1.push_back(static_cast<char>(std::stoi(std::string(P, 2), nullptr, 16)));
   std::string Err;
   auto D1 = decodeSnapshot(V1, Err);
   ASSERT_TRUE(D1) << Err;
   EXPECT_EQ(D1->FormatVersion, 1u);
-  auto D2 = decodeSnapshot(V2, Err);
+  auto D2 = decodeSnapshot(encodeSnapshot(analyzedSnapshot()), Err);
   ASSERT_TRUE(D2) << Err;
   EXPECT_EQ(D2->FormatVersion, SnapshotVersion);
 
@@ -287,9 +297,11 @@ TEST(Snapshot, WritesV1ForOldConsumersAndStillLoadsIt) {
     EXPECT_EQ(D1->Vars[I].Name, D2->Vars[I].Name);
     EXPECT_EQ(D1->Vars[I].PtsSet, D2->Vars[I].PtsSet);
   }
-  // Query-facing projection agrees fact for fact.
+  // Query-facing projection agrees fact for fact, and the content digest
+  // does not depend on the wire version the file was written in.
   for (uint32_t V = 0; V < D1->Vars.size(); ++V)
     EXPECT_EQ(D1->ptsOfVar(V), D2->ptsOfVar(V)) << D1->varKey(V);
+  EXPECT_EQ(snapshotDigest(*D1), snapshotDigest(*D2));
 }
 
 TEST(Snapshot, FrontCodingShrinksTheDedupTable) {
@@ -322,12 +334,31 @@ TEST(Snapshot, FrontCodingShrinksTheDedupTable) {
   EXPECT_TRUE(D.PtsSets[0].empty());
   EXPECT_TRUE(std::is_sorted(D.PtsSets.begin(), D.PtsSets.end()));
 
-  std::string V1 = encodeSnapshot(D, 1);
+  // The v2 PtsSets section body (id 7), found by walking the sections.
   std::string V2 = encodeSnapshot(D);
-  EXPECT_LT(V2.size(), V1.size())
-      << "front-coded v2 must be strictly smaller than v1 on overlapping "
-         "sets (v1="
-      << V1.size() << "B, v2=" << V2.size() << "B)";
+  ByteReader R(std::string_view(V2).substr(HeaderSize));
+  size_t FrontCoded = 0;
+  while (R.remaining() > 0 && FrontCoded == 0) {
+    std::string_view Id, Body;
+    uint64_t Len = 0;
+    ASSERT_TRUE(R.readBytes(1, Id) && R.readVarint(Len) &&
+                R.readBytes(Len, Body));
+    if (Id[0] == 7)
+      FrontCoded = Body.size();
+  }
+  // The same table as v1's plain delta lists: (count, first, gaps) a set.
+  std::string Plain;
+  putVarint(Plain, D.PtsSets.size());
+  for (const std::vector<uint32_t> &S : D.PtsSets) {
+    putVarint(Plain, S.size());
+    for (size_t I = 0; I < S.size(); ++I)
+      putVarint(Plain, I == 0 ? S[0] : S[I] - S[I - 1]);
+  }
+  EXPECT_GT(FrontCoded, 0u);
+  EXPECT_LT(FrontCoded, Plain.size())
+      << "front-coded v2 must be strictly smaller than plain delta lists "
+         "on overlapping sets (plain="
+      << Plain.size() << "B, v2=" << FrontCoded << "B)";
 
   // And the smaller encoding still round-trips bit-exact content.
   std::string Err;

@@ -5,15 +5,16 @@
 //===----------------------------------------------------------------------===//
 //
 // The workload-spec parser (accept/reject surface, line-numbered
-// diagnostics), the deterministic query generator, and an end-to-end
-// traffic replay smoke check mirroring what CI's serve-bench job asserts:
-// nonzero QPS, zero failed queries.
+// diagnostics), the deterministic query generator, and end-to-end replays
+// through the traffic driver's loopback transport mirroring what CI's
+// serve-bench job asserts: nonzero QPS, zero failed queries.
 //
 //===----------------------------------------------------------------------===//
 
 #include "serve/Traffic.h"
 
 #include "../TestUtil.h"
+#include "net/TrafficDriver.h"
 
 #include <gtest/gtest.h>
 
@@ -55,8 +56,6 @@ TEST(WorkloadSpec, ParsesFullSpec) {
     duration_seconds = 0.5
     seed = 99
     zipf_s = 1.1
-    workers = 2
-    max_batch = 4
     weight_points_to = 10
     weight_alias = 0
     weight_devirt = 5
@@ -71,8 +70,6 @@ TEST(WorkloadSpec, ParsesFullSpec) {
   EXPECT_DOUBLE_EQ(W.DurationSeconds, 0.5);
   EXPECT_EQ(W.Seed, 99u);
   EXPECT_DOUBLE_EQ(W.ZipfS, 1.1);
-  EXPECT_EQ(W.Workers, 2u);
-  EXPECT_EQ(W.MaxBatch, 4u);
   EXPECT_EQ(W.WeightPointsTo, 10u);
   EXPECT_EQ(W.WeightAlias, 0u);
   EXPECT_EQ(W.WeightDevirt, 5u);
@@ -104,6 +101,11 @@ TEST(WorkloadSpec, RejectsMalformedInput) {
   EXPECT_FALSE(parseWorkloadSpec("clients = -2\n", W, Err));
   EXPECT_FALSE(parseWorkloadSpec("zipf_s = banana\n", W, Err));
   EXPECT_FALSE(parseWorkloadSpec("weight_teleport = 1\n", W, Err));
+  // No spec key sizes a server-side worker pool or batch.
+  for (const char *Gone : {"workers = 2\n", "max_batch = 4\n"}) {
+    EXPECT_FALSE(parseWorkloadSpec(Gone, W, Err)) << Gone;
+    EXPECT_NE(Err.find("unknown key"), std::string::npos) << Err;
+  }
 
   // A mix with every weight zero can generate nothing.
   QueryWorkload Z;
@@ -147,23 +149,39 @@ TEST(QueryGeneratorTest, GeneratedQueriesAllParseAndSucceed) {
   EXPECT_GE(Kinds.size(), 4u) << "only saw: " << testing::PrintToString(Kinds);
 }
 
+namespace {
+
+/// One replay of \p W through a loopback transport over \p D.
+net::TrafficReport replay(std::shared_ptr<const SnapshotData> D,
+                          const QueryWorkload &W) {
+  net::SnapshotRegistry Registry(D, "<memory>");
+  net::LoopbackTransport T(Registry);
+  return net::runTraffic(*D, W, T);
+}
+
+} // namespace
+
 TEST(Traffic, ReplayReportsSaneNumbers) {
   auto D = fixtureSnapshot();
-  QueryEngine E(D);
   QueryWorkload W;
   W.Clients = 4;
   W.QueriesPerClient = 500;
-  W.Workers = 2;
-  TrafficReport Rep = runTraffic(E, W);
+  net::TrafficReport Rep = replay(D, W);
 
   EXPECT_EQ(Rep.Queries, 4u * 500u);
   EXPECT_EQ(Rep.Failed, 0u);
+  EXPECT_EQ(Rep.TransportErrors, 0u);
+  EXPECT_EQ(Rep.Connections, 4u);
   EXPECT_GT(Rep.QPS, 0.0);
   EXPECT_GT(Rep.Seconds, 0.0);
   EXPECT_LE(Rep.P50Micros, Rep.P95Micros);
   EXPECT_LE(Rep.P95Micros, Rep.P99Micros);
+  // The cache counters come back through the final health round trip.
   EXPECT_EQ(Rep.Cache.Hits + Rep.Cache.Misses, Rep.Queries);
-  EXPECT_EQ(Rep.Server.Requests, Rep.Queries);
+  ASSERT_EQ(Rep.DigestsSeen.size(), 1u);
+  EXPECT_EQ(Rep.DigestsSeen[0], snapshotDigest(*D));
+  EXPECT_EQ(Rep.EpochMin, 1u);
+  EXPECT_EQ(Rep.EpochMax, 1u);
 
   std::string Json = Rep.toJson();
   EXPECT_NE(Json.find("\"queries\": 2000"), std::string::npos) << Json;
@@ -178,13 +196,11 @@ TEST(Traffic, SurvivesDegenerateEmptySnapshot) {
   // indexing the empty tables.
   auto D = std::make_shared<SnapshotData>();
   D->PtsSets.push_back({}); // pinned empty set
-  QueryEngine E(D);
   QueryWorkload W;
   W.Clients = 2;
   W.QueriesPerClient = 64;
-  W.Workers = 1;
   W.ZipfS = 1.1; // the skewed-rank path must tolerate empty pools too
-  TrafficReport Rep = runTraffic(E, W);
+  net::TrafficReport Rep = replay(D, W);
   EXPECT_EQ(Rep.Queries, 2u * 64u);
   // Every answer is a clean unknown-entity error, not a crash.
   EXPECT_EQ(Rep.Failed, Rep.Queries);
@@ -192,12 +208,10 @@ TEST(Traffic, SurvivesDegenerateEmptySnapshot) {
 
 TEST(Traffic, DurationModeStopsOnTime) {
   auto D = fixtureSnapshot();
-  QueryEngine E(D);
   QueryWorkload W;
   W.Clients = 2;
   W.DurationSeconds = 0.05;
-  W.Workers = 2;
-  TrafficReport Rep = runTraffic(E, W);
+  net::TrafficReport Rep = replay(D, W);
   EXPECT_GT(Rep.Queries, 0u);
   EXPECT_EQ(Rep.Failed, 0u);
   // Generously bounded: the run must terminate near the deadline, not
