@@ -60,8 +60,7 @@ int usage(std::ostream &Err) {
          "  query <file.mjsnap> <query...>   e.g. query s.mjsnap points-to "
          "Main.main/0::x (or: stats)\n"
          "  serve <file.mjsnap> [--listen HOST:PORT] [--max-conns N]\n"
-         "                    [--max-inflight N] [--workers N] "
-         "[--swap-fifo PATH]\n"
+         "                    [--max-inflight N] [--swap-fifo PATH]\n"
          "                    [--duration SECONDS] [--metrics-out FILE]\n"
          "                    [--metrics-interval SECONDS] "
          "[--slow-query-us N]\n"
@@ -520,14 +519,13 @@ int cmdServe(int Argc, const char *const *Argv, std::ostream &Out,
   if (Argc < 3)
     return usage(Err);
   std::string Listen = "127.0.0.1:0", MaxConnsStr, MaxInflightStr,
-              WorkersStr, SwapFifo, DurationStr, MetricsOut,
-              SlowQueryStr, MetricsIntervalStr;
+              SwapFifo, DurationStr, MetricsOut, SlowQueryStr,
+              MetricsIntervalStr;
   FlagParser Flags(Argc, Argv, 3, Err);
   while (!Flags.done()) {
     if (Flags.take("--listen", Listen) ||
         Flags.take("--max-conns", MaxConnsStr) ||
         Flags.take("--max-inflight", MaxInflightStr) ||
-        Flags.take("--workers", WorkersStr) ||
         Flags.take("--swap-fifo", SwapFifo) ||
         Flags.take("--duration", DurationStr) ||
         Flags.take("--metrics-out", MetricsOut) ||
@@ -554,11 +552,6 @@ int cmdServe(int Argc, const char *const *Argv, std::ostream &Out,
                            Err))
       return ExitUsage;
     Cfg.MaxInflight = static_cast<unsigned>(U);
-  }
-  if (!WorkersStr.empty()) {
-    if (!parseUnsignedFlag("--workers", WorkersStr, 0, 256, U, Err))
-      return ExitUsage;
-    Cfg.Workers = static_cast<unsigned>(U);
   }
   Cfg.SwapFifo = SwapFifo;
   if (!SlowQueryStr.empty()) {

@@ -19,6 +19,8 @@
 #include <chrono>
 #include <cstring>
 #include <iostream>
+#include <memory>
+#include <vector>
 
 using namespace mahjong;
 using namespace mahjong::net;
@@ -72,7 +74,20 @@ void splitVerbKey(std::string_view Text, std::string_view &Verb,
 SnapshotServer::SnapshotServer(SnapshotRegistry &Registry,
                                ServerConfig Config)
     : Registry(Registry), Config(std::move(Config)),
-      Exec(Registry, Metrics, this->Config.Recorder) {}
+      Exec(Registry, Metrics, this->Config.Recorder),
+      Accepted(Metrics.counter("net.accepted_total")),
+      Closed(Metrics.counter("net.closed_total")),
+      Frames(Metrics.counter("net.frames_total")),
+      Lines(Metrics.counter("net.lines_total")),
+      ProtocolErrors(Metrics.counter("net.protocol_errors_total")),
+      SlowReaderDisconnects(
+          Metrics.counter("net.slow_reader_disconnects_total")),
+      SlowQueries(Metrics.counter("net.slow_queries_total")),
+      Swaps(Metrics.counter("net.swaps_total")),
+      SwapFailures(Metrics.counter("net.swap_failures_total")),
+      BytesRead(Metrics.counter("net.bytes_read_total")),
+      BytesWritten(Metrics.counter("net.bytes_written_total")),
+      ActiveConns(Metrics.gauge("net.active_conns")) {}
 
 SnapshotServer::~SnapshotServer() { stop(); }
 
@@ -136,18 +151,6 @@ bool SnapshotServer::start(std::string &Err) {
     }
   }
 
-  // Pre-register every transport series so the exposition shows them at
-  // zero from the first scrape (Prometheus best practice: existence >
-  // absence); the executor registers the request series itself.
-  for (const char *Name :
-       {"net.accepted_total", "net.closed_total", "net.frames_total",
-        "net.lines_total", "net.protocol_errors_total",
-        "net.slow_reader_disconnects_total", "net.swap_failures_total",
-        "net.bytes_read_total", "net.bytes_written_total"})
-    Metrics.counter(Name);
-
-  if (Config.Workers > 0)
-    Pool = std::make_unique<ThreadPool>(Config.Workers);
   SwapStop = false;
   SwapThread = std::thread([this] { swapLoop(); });
   LoopThread = std::thread([this] { loop(); });
@@ -160,9 +163,8 @@ void SnapshotServer::stop() {
   Stopping.store(true, std::memory_order_release);
   wake();
   LoopThread.join();
-  // The loop is gone; finish any in-pool work, then retire the admin
-  // thread (it completes a mid-flight swap before exiting).
-  Pool.reset();
+  // Retire the admin thread (it completes a mid-flight swap before
+  // exiting).
   {
     std::lock_guard<std::mutex> Lock(SwapMu);
     SwapStop = true;
@@ -175,7 +177,7 @@ void SnapshotServer::stop() {
     *Fd = -1;
   }
   Conns.clear();
-  Metrics.gauge("net.active_conns").set(0);
+  ActiveConns.set(0);
 }
 
 void SnapshotServer::wake() {
@@ -194,7 +196,8 @@ void SnapshotServer::loop() {
   bool ListenClosed = false;
 
   std::vector<pollfd> Fds;
-  std::vector<std::shared_ptr<Conn>> Polled;
+  std::vector<Conn *> Polled;
+  std::deque<SwapReply> Replies;
 
   while (true) {
     bool Stop = Stopping.load(std::memory_order_acquire);
@@ -209,7 +212,26 @@ void SnapshotServer::loop() {
                                              Config.DrainSeconds));
     }
 
-    // Maintenance pass: close the dead, resume paused parsing, pump
+    // Deliver the admin thread's swap answers and unpause the queues
+    // behind them. A requester that has gone away simply loses its
+    // answer; the swap itself has already published.
+    size_t SwapsPending;
+    {
+      std::lock_guard<std::mutex> Lock(SwapMu);
+      Replies.swap(SwapReplies);
+      SwapsUnanswered -= Replies.size();
+      SwapsPending = SwapsUnanswered;
+    }
+    for (SwapReply &Rep : Replies) {
+      auto It = Conns.find(Rep.ConnId);
+      if (It == Conns.end())
+        continue;
+      respond(It->second, Rep.R);
+      It->second.AwaitingSwap = false;
+    }
+    Replies.clear();
+
+    // Maintenance pass: close the dead, resume paused parsing, drain
     // queues, and decide each connection's poll interest.
     Fds.clear();
     Polled.clear();
@@ -230,71 +252,48 @@ void SnapshotServer::loop() {
     bool AllIdle = true;
     std::vector<uint64_t> ToClose;
     for (auto &[Id, C] : Conns) {
-      bool Dead, Draining, Busy, QueueRoom, HasOut;
-      {
-        std::lock_guard<std::mutex> Lock(C->Mu);
-        Dead = C->Dead;
-        Draining = C->Draining;
-        Busy = C->Running || C->AwaitingSwap || !C->Queue.empty();
-        QueueRoom = C->Queue.size() < Config.MaxInflight;
-        HasOut = !C->Outbox.empty();
-      }
       // A draining connection is done only when nothing parsed, queued,
       // buffered, *or still parked in RdBuf* remains — a half-closed
       // peer's pipelined backlog beyond MaxInflight lives in RdBuf.
-      if (Dead || (Draining && !Busy && !HasOut && C->RdBuf.empty())) {
+      if (C.Dead || (C.Draining && !C.AwaitingSwap && C.Queue.empty() &&
+                     C.Outbox.empty() && C.RdBuf.empty())) {
         ToClose.push_back(Id);
         continue;
       }
       // Bytes may be parked in RdBuf from a pass when the queue was
       // full; parse them now that there is room again. Draining only
       // stops socket *reads*, never the parsing of what already arrived.
-      if (QueueRoom && !C->RdBuf.empty()) {
-        size_t Before = C->RdBuf.size();
+      if (C.Queue.size() < Config.MaxInflight && !C.RdBuf.empty()) {
+        size_t Before = C.RdBuf.size();
         parseBuffered(C);
         // The peer's write side is closed, so a residue that did not
         // shrink is a truncated frame or unterminated line that can
         // never complete; drop it so the drain can finish.
-        if (Draining && C->RdBuf.size() == Before)
-          C->RdBuf.clear();
-        std::lock_guard<std::mutex> Lock(C->Mu);
-        QueueRoom = C->Queue.size() < Config.MaxInflight;
-        Busy = C->Running || C->AwaitingSwap || !C->Queue.empty();
+        if (C.Draining && C.RdBuf.size() == Before)
+          C.RdBuf.clear();
       }
-      pump(C);
-      {
-        std::lock_guard<std::mutex> Lock(C->Mu);
-        Busy = C->Running || C->AwaitingSwap || !C->Queue.empty();
-        HasOut = !C->Outbox.empty();
-      }
-      if (Busy || HasOut)
+      drainQueue(C);
+      if (C.AwaitingSwap || !C.Queue.empty() || !C.Outbox.empty())
         AllIdle = false;
       short Events = 0;
-      if (!Draining && !Stop && QueueRoom)
+      if (!C.Draining && !Stop && C.Queue.size() < Config.MaxInflight)
         Events |= POLLIN;
-      if (HasOut)
+      if (!C.Outbox.empty())
         Events |= POLLOUT;
       // Poll even with no interest bits: POLLERR/POLLHUP still arrive.
-      Polled.push_back(C);
-      Fds.push_back({C->Fd, Events, 0});
+      Polled.push_back(&C);
+      Fds.push_back({C.Fd, Events, 0});
     }
     for (uint64_t Id : ToClose)
       closeConn(Id);
 
-    if (Stop) {
-      bool SwapsPending;
-      {
-        std::lock_guard<std::mutex> Lock(SwapMu);
-        SwapsPending = !SwapTasks.empty();
-      }
-      if ((AllIdle && !SwapsPending && ToClose.empty()) ||
-          Clock::now() >= DrainDeadline) {
-        for (auto &[Id, C] : Conns)
-          close(C->Fd);
-        Conns.clear();
-        Metrics.gauge("net.active_conns").set(0);
-        return;
-      }
+    if (Stop && ((AllIdle && SwapsPending == 0 && ToClose.empty()) ||
+                 Clock::now() >= DrainDeadline)) {
+      for (auto &[Id, C] : Conns)
+        close(C.Fd);
+      Conns.clear();
+      ActiveConns.set(0);
+      return;
     }
 
     int Timeout = Stop ? 20 : 500;
@@ -317,29 +316,21 @@ void SnapshotServer::loop() {
 
     for (size_t I = 0; I < Polled.size(); ++I) {
       const pollfd &P = Fds[FirstConnSlot + I];
-      const std::shared_ptr<Conn> &C = Polled[I];
+      Conn &C = *Polled[I];
       if (P.revents & (POLLERR | POLLNVAL)) {
-        std::lock_guard<std::mutex> Lock(C->Mu);
-        C->Dead = true;
+        C.Dead = true;
         continue;
       }
       if (P.revents & POLLIN)
         readable(C);
       else if (P.revents & POLLHUP) {
         // HUP with nothing left to read: peer is gone for good.
-        std::lock_guard<std::mutex> Lock(C->Mu);
-        C->Dead = true;
+        C.Dead = true;
         continue;
       }
-      // Opportunistic flush in the same pass keeps the common
-      // request/response round trip inside one poll iteration.
-      bool HasOut;
-      {
-        std::lock_guard<std::mutex> Lock(C->Mu);
-        HasOut = !C->Outbox.empty() && !C->Dead;
-      }
-      if ((P.revents & POLLOUT) || HasOut)
-        writable(C);
+      // Flushing in the same pass keeps the common request/response
+      // round trip inside one poll iteration.
+      writable(C);
     }
   }
 }
@@ -360,12 +351,12 @@ void SnapshotServer::acceptReady() {
     }
     int One = 1;
     setsockopt(Fd, IPPROTO_TCP, TCP_NODELAY, &One, sizeof(One));
-    auto C = std::make_shared<Conn>();
-    C->Fd = Fd;
-    C->Id = NextConnId++;
-    Conns.emplace(C->Id, std::move(C));
-    Metrics.counter("net.accepted_total").inc();
-    Metrics.gauge("net.active_conns").set(Conns.size());
+    uint64_t Id = NextConnId++;
+    Conn &C = Conns[Id];
+    C.Fd = Fd;
+    C.Id = Id;
+    Accepted.inc();
+    ActiveConns.set(Conns.size());
   }
 }
 
@@ -373,29 +364,26 @@ void SnapshotServer::closeConn(uint64_t Id) {
   auto It = Conns.find(Id);
   if (It == Conns.end())
     return;
-  close(It->second->Fd);
+  close(It->second.Fd);
   Conns.erase(It);
-  Metrics.counter("net.closed_total").inc();
-  Metrics.gauge("net.active_conns").set(Conns.size());
+  Closed.inc();
+  ActiveConns.set(Conns.size());
 }
 
-void SnapshotServer::readable(const std::shared_ptr<Conn> &C) {
-  {
-    std::lock_guard<std::mutex> Lock(C->Mu);
-    if (C->Draining || C->Dead)
-      return;
-  }
+void SnapshotServer::readable(Conn &C) {
+  if (C.Draining || C.Dead)
+    return;
   char Buf[64 * 1024];
   bool PeerClosed = false;
-  while (C->RdBuf.size() < MaxFramePayload + FrameHeaderSize) {
-    ssize_t N = recv(C->Fd, Buf, sizeof(Buf), 0);
+  while (C.RdBuf.size() < MaxFramePayload + FrameHeaderSize) {
+    ssize_t N = recv(C.Fd, Buf, sizeof(Buf), 0);
     if (N > 0) {
       // The "accepted" stamp for whatever requests parse out of these
       // bytes: the arrival of the *oldest* unparsed byte.
-      if (C->RdBuf.empty())
-        C->RecvNs = nowNs();
-      C->RdBuf.append(Buf, static_cast<size_t>(N));
-      Metrics.counter("net.bytes_read_total").inc(static_cast<uint64_t>(N));
+      if (C.RdBuf.empty())
+        C.RecvNs = nowNs();
+      C.RdBuf.append(Buf, static_cast<size_t>(N));
+      BytesRead.inc(static_cast<uint64_t>(N));
       continue;
     }
     if (N == 0) {
@@ -404,60 +392,52 @@ void SnapshotServer::readable(const std::shared_ptr<Conn> &C) {
     }
     if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR)
       break;
-    std::lock_guard<std::mutex> Lock(C->Mu);
-    C->Dead = true;
+    C.Dead = true;
     return;
   }
   parseBuffered(C);
-  if (PeerClosed) {
-    // Half-close handshake: the peer is done sending, but everything it
-    // pipelined still gets answered before we close our side.
-    std::lock_guard<std::mutex> Lock(C->Mu);
-    C->Draining = true;
-  }
-  pump(C);
+  // Half-close handshake: the peer is done sending, but everything it
+  // pipelined still gets answered before we close our side.
+  if (PeerClosed)
+    C.Draining = true;
+  drainQueue(C);
 }
 
-void SnapshotServer::parseBuffered(const std::shared_ptr<Conn> &C) {
-  if (C->RdBuf.empty())
+void SnapshotServer::parseBuffered(Conn &C) {
+  if (C.RdBuf.empty())
     return;
-  if (C->Mode == Conn::IoMode::Unknown)
-    C->Mode = static_cast<unsigned char>(C->RdBuf[0]) == FrameMagic
-                  ? Conn::IoMode::Binary
-                  : Conn::IoMode::Line;
+  if (C.Mode == Conn::IoMode::Unknown)
+    C.Mode = static_cast<unsigned char>(C.RdBuf[0]) == FrameMagic
+                 ? Conn::IoMode::Binary
+                 : Conn::IoMode::Line;
 
   uint64_t Start = nowNs();
-  uint64_t Recv = C->RecvNs ? C->RecvNs : Start;
+  uint64_t Recv = C.RecvNs ? C.RecvNs : Start;
   size_t Pos = 0;
-  auto QueueFull = [&] {
-    std::lock_guard<std::mutex> Lock(C->Mu);
-    return C->Queue.size() >= Config.MaxInflight;
-  };
+  auto QueueFull = [&] { return C.Queue.size() >= Config.MaxInflight; };
   auto Enqueue = [&](MsgType T, std::string Text, bool ParseError = false) {
-    uint64_t Id = NextReqId.fetch_add(1, std::memory_order_relaxed);
-    std::lock_guard<std::mutex> Lock(C->Mu);
-    C->Queue.push_back(
-        PendingReq{T, std::move(Text), Start, ParseError, Id, Recv});
+    C.Queue.push_back(
+        PendingReq{T, std::move(Text), Start, ParseError, NextReqId++, Recv});
   };
 
-  if (C->Mode == Conn::IoMode::Binary) {
+  if (C.Mode == Conn::IoMode::Binary) {
     while (!QueueFull()) {
       Frame F;
       size_t Consumed = 0;
       std::string Err;
       DecodeStatus S = decodeFrame(
-          std::string_view(C->RdBuf).substr(Pos), Consumed, F, Err);
+          std::string_view(C.RdBuf).substr(Pos), Consumed, F, Err);
       if (S == DecodeStatus::NeedMore)
         break;
       if (S == DecodeStatus::Corrupt) {
-        C->RdBuf.clear();
+        C.RdBuf.clear();
         failProtocol(C, Err);
         return;
       }
       Pos += Consumed;
-      Metrics.counter("net.frames_total").inc();
+      Frames.inc();
       if (!isRequestType(static_cast<uint8_t>(F.Type))) {
-        C->RdBuf.clear();
+        C.RdBuf.clear();
         failProtocol(C, "response frame type from a client");
         return;
       }
@@ -465,18 +445,18 @@ void SnapshotServer::parseBuffered(const std::shared_ptr<Conn> &C) {
     }
   } else {
     while (!QueueFull()) {
-      size_t Nl = C->RdBuf.find('\n', Pos);
+      size_t Nl = C.RdBuf.find('\n', Pos);
       if (Nl == std::string::npos) {
-        if (C->RdBuf.size() - Pos > MaxLineLength) {
-          C->RdBuf.clear();
+        if (C.RdBuf.size() - Pos > MaxLineLength) {
+          C.RdBuf.clear();
           failProtocol(C, "request line exceeds the length bound");
           return;
         }
         break;
       }
-      std::string_view Line(C->RdBuf.data() + Pos, Nl - Pos);
+      std::string_view Line(C.RdBuf.data() + Pos, Nl - Pos);
       Pos = Nl + 1;
-      Metrics.counter("net.lines_total").inc();
+      Lines.inc();
       if (trimText(Line).empty())
         continue;
       std::string Text, Err;
@@ -484,7 +464,7 @@ void SnapshotServer::parseBuffered(const std::shared_ptr<Conn> &C) {
         // Garbage JSON gets an error *line*, not a disconnect — this is
         // the debugging surface, and a typo should not cost the session.
         // The error queues like any request so it answers in order.
-        Metrics.counter("net.protocol_errors_total").inc();
+        ProtocolErrors.inc();
         Enqueue(MsgType::Query, std::move(Err), /*ParseError=*/true);
         continue;
       }
@@ -495,62 +475,29 @@ void SnapshotServer::parseBuffered(const std::shared_ptr<Conn> &C) {
         Enqueue(MsgType::Query, std::move(Text));
     }
   }
-  C->RdBuf.erase(0, Pos);
-  if (C->RdBuf.empty())
-    C->RecvNs = 0; // next recv restamps the accepted stage
+  C.RdBuf.erase(0, Pos);
+  if (C.RdBuf.empty())
+    C.RecvNs = 0; // next recv restamps the accepted stage
 }
 
 //===----------------------------------------------------------------------===//
 // Request execution
 //===----------------------------------------------------------------------===//
 
-void SnapshotServer::pump(const std::shared_ptr<Conn> &C) {
-  {
-    std::lock_guard<std::mutex> Lock(C->Mu);
-    if (C->Running || C->AwaitingSwap || C->Queue.empty() || C->Dead)
-      return;
-    if (C->Queue.front().Type == MsgType::Swap) {
-      // Swaps always decode on the admin thread; the queue stays paused
-      // so this connection's responses keep arriving in request order.
-      PendingReq Req = std::move(C->Queue.front());
-      C->Queue.pop_front();
-      C->AwaitingSwap = true;
-      std::lock_guard<std::mutex> SLock(SwapMu);
-      SwapTasks.push_back(SwapTask{std::move(Req.Text), C});
-      SwapCv.notify_one();
+void SnapshotServer::drainQueue(Conn &C) {
+  while (!C.AwaitingSwap && !C.Dead && !C.Queue.empty()) {
+    PendingReq Req = std::move(C.Queue.front());
+    C.Queue.pop_front();
+    if (Req.Type == MsgType::Swap) {
+      // Swaps decode on the admin thread; the queue stays paused until
+      // the loop delivers the answer, so this connection's responses
+      // keep arriving in request order.
+      C.AwaitingSwap = true;
+      queueSwap(std::move(Req.Text), C.Id);
       return;
     }
-    if (Pool)
-      C->Running = true;
-  }
-  if (Pool) {
-    std::shared_ptr<Conn> Keep = C;
-    Pool->enqueue([this, Keep] { drainQueue(Keep); });
-  } else {
-    drainQueue(C);
-  }
-}
-
-void SnapshotServer::drainQueue(const std::shared_ptr<Conn> &C) {
-  while (true) {
-    PendingReq Req;
-    {
-      std::lock_guard<std::mutex> Lock(C->Mu);
-      if (C->Queue.empty() || C->Dead) {
-        C->Running = false;
-        break;
-      }
-      if (C->Queue.front().Type == MsgType::Swap) {
-        // Hand the rest of the queue back to pump(): the swap must go
-        // through the admin thread, and the queue pauses behind it.
-        C->Running = false;
-        break;
-      }
-      Req = std::move(C->Queue.front());
-      C->Queue.pop_front();
-    }
-    // parsed -> executing is pure queueing: inline mode measures the
-    // loop's maintenance latency, pool mode the handoff + queue wait.
+    // parsed -> executing is pure queueing: the loop's maintenance
+    // latency and whatever ran ahead of this request.
     uint64_t ExecStartNs = nowNs();
     Response R;
     if (Req.ParseError)
@@ -565,15 +512,13 @@ void SnapshotServer::drainQueue(const std::shared_ptr<Conn> &C) {
         RespNs - Req.RecvNs >= Config.SlowQueryMicros * 1000)
       emitSlowQuery(Req, R, ExecStartNs, RespNs);
   }
-  if (Pool)
-    wake(); // flush our responses; pump() reruns from the loop pass
 }
 
 void SnapshotServer::refreshGauges() const { Exec.refreshGauges(); }
 
 void SnapshotServer::emitSlowQuery(const PendingReq &Req, const Response &R,
                                    uint64_t ExecStartNs, uint64_t RespNs) {
-  Metrics.counter("net.slow_queries_total").inc();
+  SlowQueries.inc();
   std::string_view Verb, Key;
   if (Req.ParseError) {
     Verb = "parse-error";
@@ -602,63 +547,45 @@ void SnapshotServer::emitSlowQuery(const PendingReq &Req, const Response &R,
   Line += std::to_string((RespNs - Req.RecvNs) / 1000);
   Line += "}\n";
   std::ostream &OS = Config.SlowLog ? *Config.SlowLog : std::cerr;
-  std::lock_guard<std::mutex> Lock(SlowLogMu);
   OS << Line;
   OS.flush();
 }
 
-void SnapshotServer::respond(const std::shared_ptr<Conn> &C,
-                             const Response &R) {
-  std::string Bytes;
-  if (C->Mode == Conn::IoMode::Binary) {
-    appendFrame(Bytes, R.Ok ? MsgType::RespOk : MsgType::RespError,
+void SnapshotServer::respond(Conn &C, const Response &R) {
+  if (C.Dead)
+    return;
+  if (C.Mode == Conn::IoMode::Binary) {
+    appendFrame(C.Outbox, R.Ok ? MsgType::RespOk : MsgType::RespError,
                 encodeResponsePayload(R));
   } else {
-    Bytes = renderLineResponse(R);
-    Bytes += '\n';
+    C.Outbox += renderLineResponse(R);
+    C.Outbox += '\n';
   }
-  bool Slow = false;
-  {
-    std::lock_guard<std::mutex> Lock(C->Mu);
-    if (C->Dead)
-      return;
-    C->Outbox += Bytes;
-    if (C->Outbox.size() > Config.MaxOutboxBytes) {
-      // A reader this slow would grow server memory without bound; the
-      // contract is a clean disconnect, not a swelling buffer.
-      C->Dead = true;
-      Slow = true;
-    }
+  if (C.Outbox.size() > Config.MaxOutboxBytes) {
+    // A reader this slow would grow server memory without bound; the
+    // contract is a clean disconnect, not a swelling buffer.
+    C.Dead = true;
+    SlowReaderDisconnects.inc();
   }
-  if (Slow)
-    Metrics.counter("net.slow_reader_disconnects_total").inc();
 }
 
-void SnapshotServer::failProtocol(const std::shared_ptr<Conn> &C,
-                                  const std::string &Why) {
-  Metrics.counter("net.protocol_errors_total").inc();
+void SnapshotServer::failProtocol(Conn &C, const std::string &Why) {
+  ProtocolErrors.inc();
   // The error rides the request queue behind anything already parsed,
   // so it answers in FIFO position rather than jumping ahead of
   // earlier, still-unanswered requests.
   uint64_t Now = nowNs();
-  uint64_t Id = NextReqId.fetch_add(1, std::memory_order_relaxed);
-  std::lock_guard<std::mutex> Lock(C->Mu);
-  C->Queue.push_back(PendingReq{MsgType::Query, Why, Now, true, Id, Now});
-  C->Draining = true; // answer everything parsed, then close
+  C.Queue.push_back(
+      PendingReq{MsgType::Query, Why, Now, true, NextReqId++, Now});
+  C.Draining = true; // answer everything parsed, then close
 }
 
-void SnapshotServer::writable(const std::shared_ptr<Conn> &C) {
-  std::string Local;
-  {
-    std::lock_guard<std::mutex> Lock(C->Mu);
-    if (C->Dead || C->Outbox.empty())
-      return;
-    Local = std::move(C->Outbox);
-    C->Outbox.clear();
-  }
+void SnapshotServer::writable(Conn &C) {
+  if (C.Dead || C.Outbox.empty())
+    return;
   size_t Sent = 0;
-  while (Sent < Local.size()) {
-    ssize_t N = send(C->Fd, Local.data() + Sent, Local.size() - Sent,
+  while (Sent < C.Outbox.size()) {
+    ssize_t N = send(C.Fd, C.Outbox.data() + Sent, C.Outbox.size() - Sent,
                      MSG_NOSIGNAL);
     if (N > 0) {
       Sent += static_cast<size_t>(N);
@@ -666,16 +593,11 @@ void SnapshotServer::writable(const std::shared_ptr<Conn> &C) {
     }
     if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR)
       break;
-    std::lock_guard<std::mutex> Lock(C->Mu);
-    C->Dead = true;
+    C.Dead = true;
     return;
   }
-  Metrics.counter("net.bytes_written_total").inc(Sent);
-  if (Sent < Local.size()) {
-    std::lock_guard<std::mutex> Lock(C->Mu);
-    // Workers may have appended while we were sending; keep order.
-    C->Outbox.insert(0, Local, Sent, std::string::npos);
-  }
+  BytesWritten.inc(Sent);
+  C.Outbox.erase(0, Sent);
 }
 
 //===----------------------------------------------------------------------===//
@@ -698,13 +620,17 @@ void SnapshotServer::fifoReadable() {
     std::string Path(trimText(
         std::string_view(FifoBuf.data() + Pos, Nl - Pos)));
     Pos = Nl + 1;
-    if (Path.empty())
-      continue;
-    std::lock_guard<std::mutex> Lock(SwapMu);
-    SwapTasks.push_back(SwapTask{std::move(Path), nullptr});
-    SwapCv.notify_one();
+    if (!Path.empty())
+      queueSwap(std::move(Path), /*ConnId=*/0);
   }
   FifoBuf.erase(0, Pos);
+}
+
+void SnapshotServer::queueSwap(std::string Path, uint64_t ConnId) {
+  std::lock_guard<std::mutex> Lock(SwapMu);
+  SwapTasks.push_back(SwapTask{std::move(Path), ConnId});
+  ++SwapsUnanswered;
+  SwapCv.notify_one();
 }
 
 void SnapshotServer::swapLoop() {
@@ -721,21 +647,21 @@ void SnapshotServer::swapLoop() {
     std::string Err;
     bool Ok = Registry.swapFromFile(Task.Path, Err);
     if (Ok)
-      Metrics.counter("net.swaps_total").set(Registry.swapCount());
+      Swaps.set(Registry.swapCount());
     else
-      Metrics.counter("net.swap_failures_total").inc();
-    if (Task.Replier) {
-      std::shared_ptr<const ServingSnapshot> Now = Registry.pin();
-      Response R;
-      R.Ok = Ok;
-      R.Digest = Now->digest();
-      R.Epoch = Now->epoch();
-      R.Text = Ok ? "swapped to epoch " + std::to_string(Now->epoch()) +
-                        " from " + Task.Path
-                  : Err;
-      respond(Task.Replier, R);
-      std::lock_guard<std::mutex> Lock(Task.Replier->Mu);
-      Task.Replier->AwaitingSwap = false;
+      SwapFailures.inc();
+    std::shared_ptr<const ServingSnapshot> Now = Registry.pin();
+    Response R;
+    R.Ok = Ok;
+    R.Digest = Now->digest();
+    R.Epoch = Now->epoch();
+    R.Text = Ok ? "swapped to epoch " + std::to_string(Now->epoch()) +
+                      " from " + Task.Path
+                : Err;
+    {
+      // Only the loop touches connections: hand the answer back to it.
+      std::lock_guard<std::mutex> Lock(SwapMu);
+      SwapReplies.push_back(SwapReply{Task.ConnId, std::move(R)});
     }
     wake();
   }

@@ -22,15 +22,20 @@
 ///  - a slow reader whose write buffer exceeds the cap is disconnected
 ///    (the alternative is unbounded server memory).
 ///
-/// Query execution is inline on the event loop by default — a cached
-/// query is sub-microsecond, so a thread handoff would *add* latency; a
-/// worker pool (Config.Workers > 0) serves deployments with expensive
-/// uncached mixes. Snapshot swaps always decode on a dedicated admin
-/// thread so the serving loop never stalls behind a multi-second decode;
-/// a connection that pipelines requests behind its own `swap` simply has
-/// its queue paused until the swap resolves, preserving per-connection
-/// response order. Graceful shutdown stops accepting, drains queued
-/// requests and write buffers up to a deadline, then linger-closes.
+/// Query execution is inline on the event loop — a cached query is
+/// sub-microsecond, so a thread handoff would only add latency. Snapshot
+/// swaps decode on a dedicated admin thread so the serving loop never
+/// stalls behind a multi-second decode; a connection that pipelines
+/// requests behind its own `swap` has its queue paused until the admin
+/// thread hands the swap's answer back to the loop, preserving
+/// per-connection response order. Graceful shutdown stops accepting,
+/// drains queued requests and write buffers up to a deadline, then
+/// linger-closes.
+///
+/// Threading: the event loop is the only thread that touches a
+/// connection. The state shared across threads is exactly: the Stopping
+/// flag, the swap task and reply queues (under SwapMu), the wake pipe,
+/// and the registry and metrics, which are thread-safe themselves.
 ///
 /// What each request means — verb dispatch, the per-request pin, the
 /// digest/epoch stamp of that snapshot, the request metrics — is the
@@ -46,7 +51,6 @@
 #include "net/SnapshotRegistry.h"
 #include "obs/FlightRecorder.h"
 #include "obs/Metrics.h"
-#include "support/ThreadPool.h"
 
 #include <atomic>
 #include <chrono>
@@ -54,11 +58,9 @@
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
-#include <vector>
 
 namespace mahjong::net {
 
@@ -70,8 +72,6 @@ struct ServerConfig {
   unsigned MaxInflight = 64;
   /// Write-buffer bytes before a slow reader is disconnected.
   size_t MaxOutboxBytes = 4u << 20;
-  /// 0 = execute queries inline on the event loop; > 0 = worker pool.
-  unsigned Workers = 0;
   /// Optional FIFO path: each line written to it is a .mjsnap path to
   /// swap to (the out-of-band admin channel for `serve --swap-fifo`).
   std::string SwapFifo;
@@ -135,12 +135,11 @@ private:
     /// order* — clients correlate responses by position, so even a
     /// malformed request's answer must not jump ahead of earlier ones.
     bool ParseError = false;
-    uint64_t Id = 0;     ///< process-wide request id (slow-query log key)
+    uint64_t Id = 0;     ///< server-wide request id (slow-query log key)
     uint64_t RecvNs = 0; ///< stamp when the request's bytes arrived
   };
 
-  /// One connection's state. The event loop owns Fd / RdBuf / Mode;
-  /// Queue / Outbox / flags are shared with workers under Mu.
+  /// One connection's state; the event loop's alone.
   struct Conn {
     int Fd = -1;
     uint64_t Id = 0;
@@ -148,13 +147,10 @@ private:
         IoMode::Unknown;
     std::string RdBuf;
     /// Stamp of the recv() that last appended to RdBuf: the "accepted"
-    /// stage for every request parsed out of it (loop thread only).
+    /// stage for every request parsed out of it.
     uint64_t RecvNs = 0;
-
-    std::mutex Mu;
     std::deque<PendingReq> Queue;
     std::string Outbox;
-    bool Running = false;      ///< a pool worker is draining Queue
     bool AwaitingSwap = false; ///< queue paused behind an admin swap
     bool Draining = false;     ///< no more reads; close once Outbox empty
     bool Dead = false;         ///< close at the next loop pass
@@ -162,24 +158,28 @@ private:
 
   struct SwapTask {
     std::string Path;
-    std::shared_ptr<Conn> Replier; ///< null for fifo-driven swaps
+    uint64_t ConnId = 0; ///< 0 for fifo swaps (no connection has id 0)
+  };
+  /// A decoded swap's answer, for the loop to deliver to ConnId.
+  struct SwapReply {
+    uint64_t ConnId = 0;
+    Response R;
   };
 
   void loop();
   void wake();
   void acceptReady();
-  void readable(const std::shared_ptr<Conn> &C);
-  void writable(const std::shared_ptr<Conn> &C);
-  void parseBuffered(const std::shared_ptr<Conn> &C);
-  /// Starts or continues executing C's queue per the execution mode.
-  void pump(const std::shared_ptr<Conn> &C);
-  /// Drains C's queue until empty or paused; runs on the loop thread
-  /// (inline mode) or a pool worker.
-  void drainQueue(const std::shared_ptr<Conn> &C);
-  void respond(const std::shared_ptr<Conn> &C, const Response &R);
-  void failProtocol(const std::shared_ptr<Conn> &C, const std::string &Why);
+  void readable(Conn &C);
+  void writable(Conn &C);
+  void parseBuffered(Conn &C);
+  /// Answers C's queue in order until it is empty, or paused behind a
+  /// swap handed to the admin thread.
+  void drainQueue(Conn &C);
+  void respond(Conn &C, const Response &R);
+  void failProtocol(Conn &C, const std::string &Why);
   void closeConn(uint64_t Id);
   void fifoReadable();
+  void queueSwap(std::string Path, uint64_t ConnId);
   void swapLoop();
   /// One structured line to Config.SlowLog (default stderr) describing
   /// a request whose total latency met Config.SlowQueryMicros.
@@ -195,8 +195,9 @@ private:
   int FifoFd = -1;
   std::string FifoBuf;
 
-  std::map<uint64_t, std::shared_ptr<Conn>> Conns; ///< loop thread only
+  std::map<uint64_t, Conn> Conns; ///< loop thread only
   uint64_t NextConnId = 1;
+  uint64_t NextReqId = 1;
   /// While in the future, the listener is not polled: after accept4
   /// fails with EMFILE/ENFILE the fd stays readable until the backlog
   /// drains, and polling it would spin the loop at 100% CPU.
@@ -204,21 +205,27 @@ private:
 
   std::atomic<bool> Stopping{false};
   std::thread LoopThread;
-  std::atomic<uint64_t> NextReqId{1};
-  std::mutex SlowLogMu; ///< slow-query lines stay unfragmented
-
-  std::unique_ptr<ThreadPool> Pool; ///< only when Config.Workers > 0
 
   std::thread SwapThread;
   std::mutex SwapMu;
   std::condition_variable SwapCv;
   std::deque<SwapTask> SwapTasks;
+  std::deque<SwapReply> SwapReplies;
+  /// Swaps queued, decoding, or answered but not yet taken by the loop;
+  /// a graceful stop waits for them.
+  size_t SwapsUnanswered = 0;
   bool SwapStop = false;
 
   mutable obs::MetricsRegistry Metrics;
   /// Verb dispatch, pinning, stamping and the request metrics; declared
   /// after Metrics, whose series it resolves at construction.
   RequestExecutor Exec;
+  /// Transport series, resolved (and so registered at zero) once at
+  /// construction; the hot path never looks a name up.
+  obs::Counter &Accepted, &Closed, &Frames, &Lines, &ProtocolErrors,
+      &SlowReaderDisconnects, &SlowQueries, &Swaps, &SwapFailures,
+      &BytesRead, &BytesWritten;
+  obs::Gauge &ActiveConns;
 };
 
 } // namespace mahjong::net

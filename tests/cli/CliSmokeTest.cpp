@@ -138,6 +138,13 @@ TEST(CliSmoke, BadFlagValuesAreUsageErrors) {
   EXPECT_NE(R.Err.find("unknown option '--threads'"), std::string::npos)
       << R.Err;
 
+  // The server answers every connection on its event loop: there is no
+  // --workers flag either.
+  R = run({"serve", "x.mjsnap", "--workers", "2"});
+  EXPECT_EQ(R.Exit, cli::ExitUsage);
+  EXPECT_NE(R.Err.find("unknown option '--workers'"), std::string::npos)
+      << R.Err;
+
   R = run({"dot-fpg", Mj, "notanumber"});
   EXPECT_EQ(R.Exit, cli::ExitUsage);
 }
@@ -294,10 +301,6 @@ TEST(CliSmoke, ServeFlagErrorsNameTheOffendingFlag) {
   R = run({"serve", "x.mjsnap", "--max-inflight", "banana"});
   EXPECT_EQ(R.Exit, cli::ExitUsage);
   EXPECT_NE(R.Err.find("--max-inflight"), std::string::npos) << R.Err;
-
-  R = run({"serve", "x.mjsnap", "--workers", "9999"});
-  EXPECT_EQ(R.Exit, cli::ExitUsage);
-  EXPECT_NE(R.Err.find("--workers"), std::string::npos) << R.Err;
 
   R = run({"serve", "x.mjsnap", "--duration", "-3"});
   EXPECT_EQ(R.Exit, cli::ExitUsage);

@@ -7,8 +7,9 @@
 // The socket server end to end over loopback: binary round trips, line
 // mode (raw text and JSON, with garbage surviving the connection),
 // hostile framing answered with an error and a disconnect — never a
-// crash — pipelined half-close drains, the swap verb, worker-pool mode
-// ordering, and graceful stop. Every connection here is a real socket.
+// crash — pipelined half-close drains, the swap verb and its answer's
+// hand-off back to the event loop, and graceful stop. Every connection
+// here is a real socket.
 //
 //===----------------------------------------------------------------------===//
 
@@ -21,13 +22,19 @@
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
+#include <sys/time.h>
 #include <unistd.h>
 
+#include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <thread>
 
 using namespace mahjong;
 using namespace mahjong::net;
@@ -82,7 +89,11 @@ public:
         0) {
       ::close(Fd);
       Fd = -1;
+      return;
     }
+    // A response that never comes fails the test instead of hanging it.
+    timeval Timeout{30, 0};
+    setsockopt(Fd, SOL_SOCKET, SO_RCVTIMEO, &Timeout, sizeof(Timeout));
   }
   ~RawConn() {
     if (Fd >= 0)
@@ -101,6 +112,15 @@ public:
   }
 
   void shutdownWrite() { shutdown(Fd, SHUT_WR); }
+
+  /// Closes with a reset rather than a FIN (SO_LINGER 0): the server
+  /// sees an error, not a half-close it would drain.
+  void reset() {
+    linger L{1, 0};
+    setsockopt(Fd, SOL_SOCKET, SO_LINGER, &L, sizeof(L));
+    ::close(Fd);
+    Fd = -1;
+  }
 
   /// Reads one '\n'-terminated line (newline stripped); fails the test
   /// on EOF.
@@ -142,22 +162,63 @@ public:
   bool atEof() {
     while (fill())
       ;
-    return Buf.empty();
+    return Buf.empty() && !TimedOut;
   }
 
 private:
   bool fill() {
     char Tmp[4096];
     ssize_t N = recv(Fd, Tmp, sizeof(Tmp), 0);
-    if (N <= 0)
+    if (N <= 0) {
+      TimedOut = N < 0 && (errno == EAGAIN || errno == EWOULDBLOCK);
       return false;
+    }
     Buf.append(Tmp, static_cast<size_t>(N));
     return true;
   }
 
   int Fd = -1;
   std::string Buf;
+  bool TimedOut = false; ///< the last read hit the receive timeout
 };
+
+/// Polls \p Cond every millisecond for up to ten seconds.
+template <typename Fn> bool eventually(Fn Cond) {
+  auto Deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!Cond()) {
+    if (std::chrono::steady_clock::now() >= Deadline)
+      return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+/// Writes \p Bytes into the FIFO at \p Path once a reader has it open,
+/// then closes it (the reader sees EOF). Gives up after \p Seconds
+/// without a reader.
+bool feedFifo(const std::string &Path, std::string_view Bytes,
+              double Seconds) {
+  auto Deadline = std::chrono::steady_clock::now() +
+                  std::chrono::duration_cast<std::chrono::nanoseconds>(
+                      std::chrono::duration<double>(Seconds));
+  int Fd;
+  // A non-blocking writer open fails with ENXIO until a reader exists.
+  while ((Fd = ::open(Path.c_str(), O_WRONLY | O_NONBLOCK)) < 0) {
+    if (errno != ENXIO || std::chrono::steady_clock::now() >= Deadline)
+      return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  fcntl(Fd, F_SETFL, 0);
+  size_t Done = 0;
+  while (Done < Bytes.size()) {
+    ssize_t N = ::write(Fd, Bytes.data() + Done, Bytes.size() - Done);
+    if (N <= 0)
+      break;
+    Done += static_cast<size_t>(N);
+  }
+  ::close(Fd);
+  return Done == Bytes.size();
+}
 
 /// Registry + started server on an ephemeral port.
 struct LiveServer {
@@ -304,15 +365,24 @@ TEST(SnapshotServer, PipelinedHalfCloseDrainsEveryRequest) {
   ASSERT_TRUE(C.ok());
 
   // Fire 32 queries, close our write side, then collect: every one must
-  // be answered, in order, before the server closes its side.
+  // be answered, in order, before the server closes its side. Two
+  // distinguishable queries alternate, so an answer out of place shows.
   std::string Batch;
   for (int I = 0; I < 32; ++I)
-    appendFrame(Batch, MsgType::Query, "points-to Main.main/0::x");
+    appendFrame(Batch, MsgType::Query,
+                I % 2 ? "alias Main.main/0::x Main.main/0::x"
+                      : "points-to Main.main/0::x");
   C.sendAll(Batch);
   C.shutdownWrite();
   for (int I = 0; I < 32; ++I) {
     Frame F = C.readFrame();
     EXPECT_EQ(F.Type, MsgType::RespOk) << "response " << I;
+    Response R;
+    ASSERT_TRUE(decodeResponsePayload(F.Payload, true, R));
+    if (I % 2)
+      EXPECT_EQ(R.Text, "true") << "response " << I;
+    else
+      EXPECT_NE(R.Text.find(','), std::string::npos) << "response " << I;
   }
   EXPECT_TRUE(C.atEof());
 }
@@ -366,35 +436,6 @@ TEST(SnapshotServer, LineErrorsAnswerInRequestOrder) {
   EXPECT_TRUE(R.Ok) << "the session continues past the error";
 }
 
-TEST(SnapshotServer, WorkerPoolModePreservesPerConnectionOrder) {
-  ServerConfig Cfg;
-  Cfg.Workers = 2;
-  LiveServer S(Cfg);
-  ASSERT_TRUE(S.Started);
-  RawConn C(S.Server.port());
-  ASSERT_TRUE(C.ok());
-
-  // Alternate two distinguishable queries; answers must come back in
-  // exactly the request order even though a pool drains the queue.
-  std::string Batch;
-  for (int I = 0; I < 20; ++I)
-    appendFrame(Batch, MsgType::Query,
-                I % 2 ? "alias Main.main/0::x Main.main/0::x"
-                      : "points-to Main.main/0::x");
-  C.sendAll(Batch);
-  C.shutdownWrite();
-  for (int I = 0; I < 20; ++I) {
-    Frame F = C.readFrame();
-    Response R;
-    ASSERT_TRUE(decodeResponsePayload(F.Payload, true, R));
-    if (I % 2)
-      EXPECT_EQ(R.Text, "true") << "response " << I;
-    else
-      EXPECT_NE(R.Text.find(','), std::string::npos) << "response " << I;
-  }
-  EXPECT_TRUE(C.atEof());
-}
-
 TEST(SnapshotServer, SwapVerbPublishesAndStampsTheNewEpoch) {
   auto NewData = snapOneObject();
   std::string Path = writeSnapshotFile(*NewData, "server_swap.mjsnap");
@@ -423,6 +464,112 @@ TEST(SnapshotServer, SwapVerbPublishesAndStampsTheNewEpoch) {
   EXPECT_FALSE(R.Ok);
   EXPECT_EQ(R.Epoch, 2u);
   EXPECT_EQ(S.Registry.swapCount(), 1u);
+}
+
+TEST(SnapshotServer, PipelinedSwapAnswersInOrder) {
+  // query; swap; query in one send. The swap decodes on the admin thread
+  // and its answer comes back through the event loop while the queue
+  // behind it waits: three answers, in request order, the first from the
+  // old snapshot and the last from the new one.
+  auto NewData = snapOneObject();
+  std::string Path =
+      writeSnapshotFile(*NewData, "server_pipelined_swap.mjsnap");
+
+  LiveServer S;
+  ASSERT_TRUE(S.Started);
+  uint64_t OldDigest = S.Registry.pin()->digest();
+  RawConn C(S.Server.port());
+  ASSERT_TRUE(C.ok());
+
+  std::string Batch;
+  appendFrame(Batch, MsgType::Query, "points-to Main.main/0::x");
+  appendFrame(Batch, MsgType::Swap, Path);
+  appendFrame(Batch, MsgType::Query, "points-to Main.main/0::x");
+  C.sendAll(Batch);
+
+  Response R[3];
+  for (int I = 0; I < 3; ++I) {
+    Frame F = C.readFrame();
+    EXPECT_EQ(F.Type, MsgType::RespOk) << "response " << I;
+    ASSERT_TRUE(decodeResponsePayload(F.Payload, true, R[I]));
+  }
+  EXPECT_EQ(R[0].Epoch, 1u);
+  EXPECT_EQ(R[0].Digest, OldDigest);
+  EXPECT_NE(R[0].Text.find(','), std::string::npos) << "two objects";
+  EXPECT_EQ(R[1].Epoch, 2u);
+  EXPECT_NE(R[1].Text.find("swapped to epoch 2"), std::string::npos)
+      << R[1].Text;
+  EXPECT_EQ(R[2].Epoch, 2u);
+  EXPECT_EQ(R[2].Digest, serve::snapshotDigest(*NewData));
+  EXPECT_EQ(R[2].Text.find(','), std::string::npos) << "one object";
+}
+
+TEST(SnapshotServer, SwapRequesterClosingEarlyIsHarmless) {
+  // The swap reads its snapshot from a FIFO, so the admin thread cannot
+  // finish it until the test feeds the FIFO. The requester is reset and
+  // closed before that, so the loop must drop the swap's answer; the
+  // swap still publishes, other connections keep being answered, and
+  // stop() does not wait on the dropped answer.
+  auto NewData = snapOneObject();
+  std::string Hold = testing::TempDir() + "/server_swap_hold.fifo";
+  ::unlink(Hold.c_str());
+  ASSERT_EQ(::mkfifo(Hold.c_str(), 0600), 0) << std::strerror(errno);
+  std::string Bytes = serve::encodeSnapshot(*NewData);
+
+  ServerConfig Cfg;
+  Cfg.DrainSeconds = 60; // a stop that waits on the drop would show
+  LiveServer S(Cfg);
+  ASSERT_TRUE(S.Started);
+  // Feeds the FIFO on every exit path, so a failed assertion cannot
+  // leave stop() joining an admin thread blocked on it.
+  struct Feeder {
+    const std::string &Path, &Bytes;
+    bool Fed = false;
+    ~Feeder() {
+      if (!Fed)
+        feedFifo(Path, Bytes, 0.5);
+    }
+  } Feed{Hold, Bytes};
+  obs::MetricsRegistry &M = S.Server.metrics();
+
+  Client Other;
+  std::string Err;
+  ASSERT_TRUE(Other.connect("127.0.0.1", S.Server.port(), Err)) << Err;
+
+  {
+    RawConn Requester(S.Server.port());
+    ASSERT_TRUE(Requester.ok());
+    std::string Req;
+    appendFrame(Req, MsgType::Swap, Hold);
+    Requester.sendAll(Req);
+    ASSERT_TRUE(eventually(
+        [&] { return M.counter("net.frames_total").value() == 1; }));
+    Requester.reset();
+  }
+  ASSERT_TRUE(eventually(
+      [&] { return M.counter("net.closed_total").value() == 1; }))
+      << "the requester's connection closes while its swap is pending";
+
+  // The admin thread is blocked on the FIFO; the loop is not.
+  Response R;
+  ASSERT_TRUE(Other.query("points-to Main.main/0::x", R, Err)) << Err;
+  EXPECT_TRUE(R.Ok);
+  EXPECT_EQ(R.Epoch, 1u);
+
+  ASSERT_TRUE(feedFifo(Hold, Bytes, 10));
+  Feed.Fed = true;
+  ASSERT_TRUE(eventually([&] { return S.Registry.swapCount() == 1; }));
+  ASSERT_TRUE(Other.query("points-to Main.main/0::x", R, Err)) << Err;
+  EXPECT_TRUE(R.Ok);
+  EXPECT_EQ(R.Epoch, 2u);
+  EXPECT_EQ(R.Digest, serve::snapshotDigest(*NewData));
+  EXPECT_EQ(M.counter("net.swap_failures_total").value(), 0u);
+
+  auto T0 = std::chrono::steady_clock::now();
+  S.Server.stop();
+  EXPECT_LT(std::chrono::steady_clock::now() - T0, std::chrono::seconds(30));
+  EXPECT_FALSE(S.Server.running());
+  ::unlink(Hold.c_str());
 }
 
 TEST(SnapshotServer, GracefulStopStopsAcceptingAndDrains) {
