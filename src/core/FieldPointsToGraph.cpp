@@ -34,32 +34,23 @@ FieldPointsToGraph::FieldPointsToGraph(const PTAResult &Pre) : P(Pre.P) {
   // Project the pre-analysis' object-field points-to relation onto base
   // objects. The pre-analysis is context-insensitive, so this is normally
   // a 1:1 copy; the projection keeps the builder correct for any input.
-  std::unordered_map<uint64_t, PointsToSet> Collected;
-  Pre.forEachFieldPts([&](CSObjId O, FieldId F, const PointsToSet &Set) {
-    ObjId Base = Pre.CSM.objOf(O).second;
-    uint64_t Key = (static_cast<uint64_t>(Base.idx()) << 20) | F.idx();
-    PointsToSet &Into = Collected[Key];
-    for (uint32_t Raw : Set)
-      Into.insert(Pre.baseObjOf(Raw).idx());
-  });
-
+  // Rows arrive ascending by (object, field), so every list is sorted.
   std::vector<bool> FieldSeen(P.numFields(), false);
-  for (auto &[Key, Set] : Collected) {
-    ObjId Base = ObjId(static_cast<uint32_t>(Key >> 20));
-    FieldId F = FieldId(static_cast<uint32_t>(Key & ((1u << 20) - 1)));
-    if (!Reachable[Base.idx()])
-      continue;
-    std::vector<ObjId> Targets;
-    Targets.reserve(Set.size());
-    for (uint32_t Raw : Set)
-      Targets.push_back(ObjId(Raw));
-    NumEdges += Targets.size();
-    if (!FieldSeen[F.idx()]) {
-      FieldSeen[F.idx()] = true;
-      ++NumFieldsUsed;
-    }
-    Adj[Base.idx()].emplace_back(F, std::move(Targets));
-  }
+  Pre.forEachCIFieldPts(
+      [&](ObjId Base, FieldId F, const PTAResult::ObjList &Objs) {
+        if (!Reachable[Base.idx()])
+          return;
+        std::vector<ObjId> Targets;
+        Targets.reserve(Objs.size());
+        for (uint32_t O : Objs)
+          Targets.push_back(ObjId(O));
+        NumEdges += Targets.size();
+        if (!FieldSeen[F.idx()]) {
+          FieldSeen[F.idx()] = true;
+          ++NumFieldsUsed;
+        }
+        Adj[Base.idx()].emplace_back(F, std::move(Targets));
+      });
 
   // Null completion: every declared instance field with no edge points to
   // o_null (paper §4.1: "if o_i.f = null, then (o_i, f, o_null) ∈ E").
@@ -67,8 +58,6 @@ FieldPointsToGraph::FieldPointsToGraph(const PTAResult &Pre) : P(Pre.P) {
     if (!Reachable[I])
       continue;
     auto &Edges = Adj[I];
-    std::sort(Edges.begin(), Edges.end(),
-              [](const auto &A, const auto &B) { return A.first < B.first; });
     for (FieldId F : P.allInstanceFields(P.obj(ObjId(I)).Type)) {
       auto It = std::lower_bound(
           Edges.begin(), Edges.end(), F,

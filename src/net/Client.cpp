@@ -10,6 +10,7 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -50,7 +51,21 @@ bool Client::connect(const std::string &Host, uint16_t Port,
   }
   int One = 1;
   setsockopt(Fd, IPPROTO_TCP, TCP_NODELAY, &One, sizeof(One));
+  applyRecvTimeout();
   return true;
+}
+
+void Client::setRecvTimeout(std::chrono::milliseconds Timeout) {
+  RecvTimeout = Timeout;
+  if (Fd >= 0)
+    applyRecvTimeout();
+}
+
+void Client::applyRecvTimeout() {
+  timeval Tv{};
+  Tv.tv_sec = static_cast<time_t>(RecvTimeout.count() / 1000);
+  Tv.tv_usec = static_cast<suseconds_t>(RecvTimeout.count() % 1000 * 1000);
+  setsockopt(Fd, SOL_SOCKET, SO_RCVTIMEO, &Tv, sizeof(Tv));
 }
 
 bool Client::query(std::string_view Text, Response &R, std::string &Err) {
@@ -122,8 +137,12 @@ bool Client::readFrame(Frame &F, std::string &Err) {
     }
     if (N < 0 && errno == EINTR)
       continue;
-    Err = N == 0 ? "server closed the connection"
-                 : std::string("recv: ") + std::strerror(errno);
+    if (N < 0 && (errno == EAGAIN || errno == EWOULDBLOCK))
+      Err = "timed out waiting for the server (no reply within " +
+            std::to_string(RecvTimeout.count()) + " ms)";
+    else
+      Err = N == 0 ? "server closed the connection"
+                   : std::string("recv: ") + std::strerror(errno);
     close();
     return false;
   }

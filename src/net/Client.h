@@ -11,6 +11,11 @@
 /// client thread its own instance, which also matches how per-connection
 /// backpressure is meant to be exercised.
 ///
+/// Every read waits at most the receive timeout (SO_RCVTIMEO; 120 s by
+/// default) for the server's next bytes. A server that stops answering
+/// then fails the call with "timed out waiting for the server" and
+/// closes the connection, instead of hanging the caller forever.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef MAHJONG_NET_CLIENT_H
@@ -18,6 +23,7 @@
 
 #include "net/Protocol.h"
 
+#include <chrono>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -26,6 +32,11 @@ namespace mahjong::net {
 
 class Client {
 public:
+  /// The default receive timeout. Generous: a swap of a large snapshot
+  /// is answered only once it is decoded and published.
+  static constexpr std::chrono::milliseconds DefaultRecvTimeout =
+      std::chrono::seconds(120);
+
   Client() = default;
   ~Client();
 
@@ -37,6 +48,10 @@ public:
   bool connect(const std::string &Host, uint16_t Port, std::string &Err);
   void close();
   bool connected() const { return Fd >= 0; }
+
+  /// Sets the receive timeout for this connection and any later one; zero
+  /// waits forever.
+  void setRecvTimeout(std::chrono::milliseconds Timeout);
 
   /// One query round trip. \returns false with \p Err set on transport
   /// or framing failure; a query the *server* rejected returns true with
@@ -55,8 +70,11 @@ private:
                  std::string &Err);
   bool readFrame(Frame &F, std::string &Err);
 
+  void applyRecvTimeout();
+
   int Fd = -1;
   std::string RdBuf;
+  std::chrono::milliseconds RecvTimeout = DefaultRecvTimeout;
 };
 
 } // namespace mahjong::net

@@ -7,7 +7,6 @@
 #include "pta/FactsExport.h"
 
 #include <fstream>
-#include <map>
 #include <set>
 
 using namespace mahjong;
@@ -16,54 +15,36 @@ using namespace mahjong::pta;
 
 void mahjong::pta::writeVarPointsTo(const PTAResult &R, std::ostream &OS) {
   const Program &P = R.P;
-  // Deterministic: iterate variables densely, project contexts.
-  for (uint32_t VI = 0; VI < P.numVars(); ++VI) {
-    VarId V = VarId(VI);
-    PointsToSet Pts = R.ciVarPts(V);
-    for (uint32_t Raw : Pts)
+  // Deterministic: variables densely, each projected over its contexts.
+  R.forEachCIVarPts([&](VarId V, const PTAResult::ObjList &Objs) {
+    for (uint32_t O : Objs)
       OS << P.method(P.var(V).Method).Signature << '\t' << P.var(V).Name
-         << '\t' << P.describeObj(ObjId(Raw)) << '\n';
-  }
+         << '\t' << P.describeObj(ObjId(O)) << '\n';
+  });
 }
 
 void mahjong::pta::writeInstanceFieldPointsTo(const PTAResult &R,
                                               std::ostream &OS) {
   const Program &P = R.P;
-  // Project cs-object fields onto base objects, deterministically.
-  std::map<std::pair<uint32_t, uint32_t>, std::set<uint32_t>> Rows;
-  R.forEachFieldPts([&](CSObjId O, FieldId F, const PointsToSet &Pts) {
-    ObjId Base = R.CSM.objOf(O).second;
-    auto &Targets = Rows[{Base.idx(), F.idx()}];
-    for (uint32_t Raw : Pts)
-      Targets.insert(R.baseObjOf(Raw).idx());
-  });
-  for (const auto &[Key, Targets] : Rows)
-    for (uint32_t T : Targets)
-      OS << P.describeObj(ObjId(Key.first)) << '\t'
-         << P.field(FieldId(Key.second)).Name << '\t'
-         << P.describeObj(ObjId(T)) << '\n';
+  // Rows come ascending by (base object, field), never in node order.
+  R.forEachCIFieldPts(
+      [&](ObjId Base, FieldId F, const PTAResult::ObjList &Objs) {
+        for (uint32_t O : Objs)
+          OS << P.describeObj(Base) << '\t' << P.field(F).Name << '\t'
+             << P.describeObj(ObjId(O)) << '\n';
+      });
 }
 
 void mahjong::pta::writeStaticFieldPointsTo(const PTAResult &R,
                                             std::ostream &OS) {
   const Program &P = R.P;
   // Node ids reflect solver discovery order, which varies with worklist
-  // scheduling; bucket rows by field so the dump is byte-stable.
-  std::map<uint32_t, std::set<uint32_t>> Rows;
-  for (uint32_t I = 0; I < R.Nodes.size(); ++I) {
-    uint64_t Key = R.Nodes.get(PtrNodeId(I));
-    if (PTAResult::kindOf(Key) != PTAResult::KindStatic ||
-        R.Pts[I].empty())
-      continue;
-    auto &Targets = Rows[PTAResult::staticFieldOf(Key).idx()];
-    for (uint32_t Raw : R.Pts[I])
-      Targets.insert(R.baseObjOf(Raw).idx());
-  }
-  for (const auto &[FI, Targets] : Rows)
-    for (uint32_t T : Targets)
-      OS << P.type(P.field(FieldId(FI)).Declaring).Name << '\t'
-         << P.field(FieldId(FI)).Name << '\t' << P.describeObj(ObjId(T))
-         << '\n';
+  // scheduling; rows come ascending by field so the dump is byte-stable.
+  R.forEachCIStaticPts([&](FieldId F, const PTAResult::ObjList &Objs) {
+    for (uint32_t O : Objs)
+      OS << P.type(P.field(F).Declaring).Name << '\t' << P.field(F).Name
+         << '\t' << P.describeObj(ObjId(O)) << '\n';
+  });
 }
 
 void mahjong::pta::writeCallGraphEdge(const PTAResult &R,

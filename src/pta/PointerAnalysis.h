@@ -136,8 +136,37 @@ public:
   const PointsToSet *varPts(ContextId C, VarId V) const;
 
   /// Context-insensitive projection of \p V's points-to set: the set of
-  /// base ObjId values over all contexts of its method.
+  /// base ObjId values over all contexts of its method. For one variable;
+  /// to project many, use forEachCIVarPts, which shares one scratch and
+  /// one grouping pass between them.
   PointsToSet ciVarPts(VarId V) const;
+
+  /// A projected set handed to the forEachCI* callbacks: ObjId values,
+  /// ascending and duplicate-free. It is scratch that the next group
+  /// overwrites; copy what must outlive the callback.
+  using ObjList = std::vector<uint32_t>;
+
+  /// Context-insensitive projection of every variable in one batched
+  /// pass: calls \p Fn(V, Objs) for every VarId in ascending order, Objs
+  /// equal to ciVarPts(V) (empty if V points to nothing). Var nodes are
+  /// grouped by base variable with one counting sort over Nodes; each
+  /// group's context sets are OR'ed word by word into a dense cs-object
+  /// bitmap, which is then mapped onto base objects once. The scratch,
+  /// bitmaps of numCSObjs/64 and numObjs/64 words plus one bucket array
+  /// of node ids, is reused across variables and freed on return.
+  void forEachCIVarPts(
+      const std::function<void(VarId, const ObjList &)> &Fn) const;
+
+  /// The same projection for instance fields: calls \p Fn(O, F, Objs)
+  /// for every (base object, field) whose union over all cs-objects of O
+  /// is nonempty, ascending by (O, F).
+  void forEachCIFieldPts(
+      const std::function<void(ObjId, FieldId, const ObjList &)> &Fn) const;
+
+  /// The same projection for static fields: calls \p Fn(F, Objs) for
+  /// every static field with a nonempty set, ascending by F.
+  void forEachCIStaticPts(
+      const std::function<void(FieldId, const ObjList &)> &Fn) const;
 
   /// Points-to set of \p O.\p F, or null.
   const PointsToSet *fieldPts(CSObjId O, FieldId F) const;

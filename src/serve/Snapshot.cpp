@@ -130,6 +130,60 @@ void putSection(std::string &Payload, SectionId Id, const std::string &Body) {
   Payload += Body;
 }
 
+/// Fills every type's Ancestors with the types it is a subtype of, the
+/// closure ir::ClassHierarchy::isSubtype defines, by walking the
+/// hierarchy instead of testing all pairs:
+///
+///  - the null type is below every type;
+///  - a class is below itself, its superclass chain and Object;
+///  - an array E[] is below Object and every A[] with A an ancestor of E
+///    (covariance), so element types are resolved before their arrays.
+void buildAncestors(const ir::Program &P,
+                    std::vector<SnapshotData::Type> &Types) {
+  uint32_t N = P.numTypes();
+  TypeId Object = P.objectType();
+  // Array types by element type, and each type's array nesting depth.
+  std::vector<std::vector<uint32_t>> ArraysOf(N);
+  std::vector<uint32_t> Nesting(N, 0);
+  for (uint32_t T = 0; T < N; ++T) {
+    if (P.type(TypeId(T)).Kind != ir::TypeKind::Array)
+      continue;
+    ArraysOf[P.type(TypeId(T)).Elem.idx()].push_back(T);
+    for (TypeId E = TypeId(T); P.type(E).Kind == ir::TypeKind::Array;
+         E = P.type(E).Elem)
+      ++Nesting[T];
+  }
+  std::vector<uint32_t> Order(N);
+  for (uint32_t T = 0; T < N; ++T)
+    Order[T] = T;
+  std::stable_sort(Order.begin(), Order.end(), [&](uint32_t A, uint32_t B) {
+    return Nesting[A] < Nesting[B];
+  });
+  for (uint32_t T : Order) {
+    const ir::TypeInfo &TI = P.type(TypeId(T));
+    std::vector<uint32_t> &A = Types[T].Ancestors;
+    if (TI.Kind == ir::TypeKind::Null) {
+      A.resize(N);
+      for (uint32_t U = 0; U < N; ++U)
+        A[U] = U;
+      continue;
+    }
+    A.push_back(T);
+    if (Object.isValid())
+      A.push_back(Object.idx());
+    if (TI.Kind == ir::TypeKind::Array) {
+      for (uint32_t E : Types[TI.Elem.idx()].Ancestors)
+        A.insert(A.end(), ArraysOf[E].begin(), ArraysOf[E].end());
+    } else {
+      for (TypeId U = TI.Super; U.isValid(); U = P.type(U).Super)
+        if (P.type(U).Kind == ir::TypeKind::Class)
+          A.push_back(U.idx());
+    }
+    std::sort(A.begin(), A.end());
+    A.erase(std::unique(A.begin(), A.end()), A.end());
+  }
+}
+
 } // namespace
 
 bool SnapshotData::isSubtype(uint32_t Sub, uint32_t Super) const {
@@ -156,10 +210,8 @@ SnapshotData mahjong::serve::buildSnapshot(const pta::PTAResult &R) {
     SnapshotData::Type &Ty = D.Types[T];
     Ty.Name = P.type(TypeId(T)).Name;
     Ty.Kind = static_cast<uint8_t>(P.type(TypeId(T)).Kind);
-    for (uint32_t U = 0; U < P.numTypes(); ++U)
-      if (R.CH.isSubtype(TypeId(T), TypeId(U)))
-        Ty.Ancestors.push_back(U);
   }
+  buildAncestors(P, D.Types);
 
   D.Fields.resize(P.numFields());
   for (uint32_t F = 0; F < P.numFields(); ++F) {
@@ -186,11 +238,12 @@ SnapshotData mahjong::serve::buildSnapshot(const pta::PTAResult &R) {
   Interner<Id<PtsSetTag>, std::vector<uint32_t>, VectorHash> Sets;
   Sets.intern({});
   D.Vars.resize(P.numVars());
-  for (uint32_t V = 0; V < P.numVars(); ++V) {
-    D.Vars[V].Name = P.var(VarId(V)).Name;
-    D.Vars[V].Method = P.var(VarId(V)).Method.idx();
-    D.Vars[V].PtsSet = Sets.intern(R.ciVarPts(VarId(V)).toVector()).idx();
-  }
+  R.forEachCIVarPts([&](VarId V, const pta::PTAResult::ObjList &Objs) {
+    SnapshotData::Var &Var = D.Vars[V.idx()];
+    Var.Name = P.var(V).Name;
+    Var.Method = P.var(V).Method.idx();
+    Var.PtsSet = Sets.intern(Objs).idx();
+  });
   // Re-order the table lexicographically: adjacent sets then share the
   // longest possible prefixes, which is what the v2 front-coded encoding
   // compresses. The empty set is the lexicographic minimum, so it lands

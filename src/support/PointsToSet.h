@@ -267,6 +267,12 @@ public:
   bool empty() const { return Count == 0; }
   size_t size() const { return Count; }
 
+  /// Read-only view of the (chunk index, word) pairs, ascending by index
+  /// and never holding a zero word. Bulk consumers OR whole 64-element
+  /// words through it instead of visiting elements one at a time (see
+  /// PTAResult's context-insensitive projections).
+  const std::vector<Chunk> &chunks() const { return Chunks; }
+
   /// Heap bytes backing this set — the chunk vector's *capacity*. The
   /// unit of PTAStats::WorkingSetBytes.
   size_t memoryBytes() const { return Chunks.capacity() * sizeof(Chunk); }

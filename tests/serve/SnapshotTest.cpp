@@ -19,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 
 using namespace mahjong;
 using namespace mahjong::serve;
@@ -240,6 +241,58 @@ TEST(Snapshot, RejectsDanglingCrossReferences) {
   std::string Err;
   EXPECT_EQ(decodeSnapshot(encodeSnapshot(D), Err), nullptr);
   EXPECT_NE(Err.find("out of range"), std::string::npos) << Err;
+}
+
+TEST(Snapshot, AncestorsMatchTheAllPairsSubtypeRelation) {
+  // A twelve-deep class chain, arrays of arrays of it, Object arrays,
+  // an unrelated class and the built-in null type: the hierarchy walk
+  // must reproduce ClassHierarchy::isSubtype on every pair.
+  std::string Src;
+  Src += "class C0 { }\n";
+  for (int I = 1; I < 12; ++I)
+    Src += "class C" + std::to_string(I) + " extends C" +
+           std::to_string(I - 1) + " { }\n";
+  Src += R"(
+    class Other { }
+    class Main {
+      static method main() {
+        a = new C11[][];
+        b = new C0[][][];
+        c = new Object[][];
+        d = new Object[];
+        e = new C5[];
+        f = (C3[][]) a;
+        g = new Other[][];
+        h = new C7[][][];
+        n = null;
+      }
+    }
+  )";
+  Analyzed A = analyze(Src);
+  const ir::Program &P = *A.P;
+  SnapshotData D = buildSnapshot(*A.R);
+  ASSERT_EQ(D.Types.size(), P.numTypes());
+  bool NullType = false, NestedArray = false;
+  unsigned MaxDepth = 0;
+  for (uint32_t T = 0; T < P.numTypes(); ++T) {
+    const ir::TypeInfo &TI = P.type(TypeId(T));
+    NullType |= TI.Kind == ir::TypeKind::Null;
+    NestedArray |= TI.Kind == ir::TypeKind::Array &&
+                   P.type(TI.Elem).Kind == ir::TypeKind::Array;
+    if (TI.Kind == ir::TypeKind::Class)
+      MaxDepth = std::max(MaxDepth, A.CH->depth(TypeId(T)));
+    const std::vector<uint32_t> &Anc = D.Types[T].Ancestors;
+    EXPECT_TRUE(std::adjacent_find(Anc.begin(), Anc.end(),
+                                   std::greater_equal<uint32_t>()) ==
+                Anc.end())
+        << TI.Name << ": ancestors not strictly ascending";
+    for (uint32_t U = 0; U < P.numTypes(); ++U)
+      EXPECT_EQ(D.isSubtype(T, U), A.CH->isSubtype(TypeId(T), TypeId(U)))
+          << TI.Name << " <= " << P.type(TypeId(U)).Name;
+  }
+  EXPECT_TRUE(NullType);
+  EXPECT_TRUE(NestedArray);
+  EXPECT_GE(MaxDepth, 12u);
 }
 
 TEST(Snapshot, DedupSharesIdenticalSets) {
