@@ -10,11 +10,13 @@
 //      predicts precision loss when it is off;
 //  (b) representative choice (first vs last site) for M-ktype — the
 //      paper's Example 3.2 shows it can shift k-type precision;
-//  (c) the behavioral-partition index vs the paper's plain
-//      object-vs-representative scan — modeling time;
 //  (d) shared automata: global DFA states vs the sum of per-object NFA
 //      sizes (what an unshared implementation would materialize);
 //  (e) pre-analysis precision: ci vs 2type vs 2obj before merging.
+//
+// There is no (c): the behavioral partition is the only grouping path,
+// so there is no plain scan to time it against (EXPERIMENTS.md reports
+// the merge's span times instead).
 //
 //===----------------------------------------------------------------------===//
 
@@ -66,27 +68,6 @@ static void representativeAblation() {
   std::printf("  expected: small or no differences — the choice affects "
               "which class\n  contains the representative's allocation "
               "site, hence k-type contexts\n\n");
-}
-
-static void partitionAblation() {
-  std::printf("-- (c) partition index vs plain scan: modeling time --\n");
-  auto P = workload::buildBenchmarkProgram("eclipse", 0.4);
-  ir::ClassHierarchy CH(*P);
-  pta::AnalysisOptions PreOpts;
-  auto Pre = pta::runPointerAnalysis(*P, CH, PreOpts);
-  FieldPointsToGraph G(*Pre);
-  for (bool Partition : {false, true}) {
-    DFACache Cache(G);
-    HeapModelerOptions Opts;
-    Opts.UsePartitionIndex = Partition;
-    HeapModelerResult R = modelHeap(G, Cache, Opts);
-    std::printf("  %-10s %7.3fs classes=%u pairs-tested=%llu\n",
-                Partition ? "partition" : "scan", R.Seconds, R.NumClasses,
-                (unsigned long long)R.PairsTested);
-  }
-  std::printf("  expected: identical classes; the partition index removes\n"
-              "  the object-vs-class quadratic scan on merge-resistant "
-              "heaps\n\n");
 }
 
 static void sharedAutomataAblation() {
@@ -145,7 +126,6 @@ int main() {
   std::printf("== Ablations of MAHJONG's design choices ==\n\n");
   condition2Ablation();
   representativeAblation();
-  partitionAblation();
   sharedAutomataAblation();
   preAnalysisPrecisionAblation();
   return 0;

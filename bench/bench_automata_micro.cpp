@@ -214,7 +214,8 @@ static void BM_SubsetConstruction(benchmark::State &State) {
   for (auto _ : State) {
     DFACache Cache(*F.G);
     for (ObjId O : Objs)
-      Cache.materialize(Cache.startFor(O));
+      Cache.startFor(O);
+    Cache.expandAll();
     benchmark::DoNotOptimize(Cache.numStates());
   }
 }
@@ -225,7 +226,8 @@ static void BM_HopcroftKarpEquivalence(benchmark::State &State) {
   std::vector<ObjId> Objs = F.G->reachableObjs();
   DFACache Cache(*F.G);
   for (ObjId O : Objs)
-    Cache.materialize(Cache.startFor(O));
+    Cache.startFor(O);
+  Cache.expandAll();
   for (auto _ : State) {
     EquivChecker Checker(Cache);
     size_t Equal = 0;
@@ -242,7 +244,8 @@ static void BM_BehavioralPartition(benchmark::State &State) {
   std::vector<ObjId> Objs = F.G->reachableObjs();
   DFACache Cache(*F.G);
   for (ObjId O : Objs)
-    Cache.materialize(Cache.startFor(O));
+    Cache.startFor(O);
+  Cache.expandAll();
   for (auto _ : State) {
     DFAPartition Part(Cache);
     benchmark::DoNotOptimize(Part.numBlocks());

@@ -54,7 +54,6 @@ int usage(std::ostream &Err) {
          "[--set-rep chunked|hierarchy]\n"
          "                    [--facts DIR] [--save-snapshot FILE.mjsnap]\n"
          "                    [--trace-out FILE.json] [--metrics-out FILE]\n"
-         "                    [--stats-json FILE]\n"
          "  gen <profile> <out.mj> [--scale S]   write a workload profile "
          "as .mj source\n"
          "  query <file.mjsnap> <query...>   e.g. query s.mjsnap points-to "
@@ -235,7 +234,7 @@ int cmdAnalyze(int Argc, const char *const *Argv, std::ostream &Out,
     return usage(Err);
   std::string Analysis = "2obj", HeapKind = "mahjong", SolverKind = "auto",
               SetRepStr = "chunked", FactsDir, SnapPath, BudgetStr,
-              TraceOut, MetricsOut, StatsJson;
+              TraceOut, MetricsOut;
   FlagParser Flags(Argc, Argv, 3, Err);
   while (!Flags.done()) {
     if (Flags.take("--analysis", Analysis) || Flags.take("--heap", HeapKind) ||
@@ -244,8 +243,7 @@ int cmdAnalyze(int Argc, const char *const *Argv, std::ostream &Out,
         Flags.take("--set-rep", SetRepStr) ||
         Flags.take("--save-snapshot", SnapPath) ||
         Flags.take("--trace-out", TraceOut) ||
-        Flags.take("--metrics-out", MetricsOut) ||
-        Flags.take("--stats-json", StatsJson))
+        Flags.take("--metrics-out", MetricsOut))
       continue;
     return Flags.malformed() ? ExitUsage : Flags.unknown();
   }
@@ -413,11 +411,6 @@ int cmdAnalyze(int Argc, const char *const *Argv, std::ostream &Out,
                        Err))
       return ExitIOError;
     Out << "metrics written to " << MetricsOut << "\n";
-  }
-  if (!StatsJson.empty()) {
-    if (!writeTextFile(StatsJson, Reg.toJson(), Err))
-      return ExitIOError;
-    Out << "stats written to " << StatsJson << "\n";
   }
   return ExitOk;
 }

@@ -67,9 +67,9 @@ ClientResults mahjong::clients::evaluateClients(const PTAResult &R) {
   return CR;
 }
 
-bool mahjong::clients::mayAlias(const PTAResult &R, VarId A, VarId B) {
-  PointsToSet PA = R.ciVarPts(A);
-  PointsToSet PB = R.ciVarPts(B);
+/// Whether two projected sets share an object other than o_null.
+static bool shareNonNull(const PTAResult &R, const PointsToSet &PA,
+                         const PointsToSet &PB) {
   for (uint32_t Raw : PA) {
     if (R.P.isNullObj(ObjId(Raw)))
       continue; // both being null is not considered aliasing
@@ -79,16 +79,21 @@ bool mahjong::clients::mayAlias(const PTAResult &R, VarId A, VarId B) {
   return false;
 }
 
+bool mahjong::clients::mayAlias(const PTAResult &R, VarId A, VarId B) {
+  return shareNonNull(R, R.ciVarPts(A), R.ciVarPts(B));
+}
+
 uint64_t mahjong::clients::countAliasedLocalPairs(const PTAResult &R,
                                                   MethodId M) {
-  std::vector<VarId> Locals;
+  // Each local is projected once, not once per pair.
+  std::vector<PointsToSet> Pts;
   for (uint32_t I = 0; I < R.P.numVars(); ++I)
     if (R.P.var(VarId(I)).Method == M)
-      Locals.push_back(VarId(I));
+      Pts.push_back(R.ciVarPts(VarId(I)));
   uint64_t Pairs = 0;
-  for (size_t I = 0; I < Locals.size(); ++I)
-    for (size_t J = I + 1; J < Locals.size(); ++J)
-      Pairs += mayAlias(R, Locals[I], Locals[J]);
+  for (size_t I = 0; I < Pts.size(); ++I)
+    for (size_t J = I + 1; J < Pts.size(); ++J)
+      Pairs += shareNonNull(R, Pts[I], Pts[J]);
   return Pairs;
 }
 

@@ -8,9 +8,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <deque>
-#include <unordered_map>
-#include <unordered_set>
 
 using namespace mahjong;
 using namespace mahjong::core;
@@ -34,8 +31,6 @@ DFAStateId DFACache::intern(const std::vector<uint32_t> &SortedObjs) {
     TransComputed.resize(S.idx() + 1, false);
     Outputs.resize(S.idx() + 1);
     ContainsNull.resize(S.idx() + 1, false);
-    KnownAllSingleton.resize(S.idx() + 1, false);
-    KnownMixed.resize(S.idx() + 1, false);
     const Program &P = G.program();
     std::vector<TypeId> Types;
     for (uint32_t Obj : SortedObjs) {
@@ -51,12 +46,6 @@ DFAStateId DFACache::intern(const std::vector<uint32_t> &SortedObjs) {
 }
 
 DFAStateId DFACache::startFor(ObjId O) { return intern({O.idx()}); }
-
-DFAStateId DFACache::startFor(ObjId O) const {
-  DFAStateId S = Sets.lookup(std::vector<uint32_t>{O.idx()});
-  assert(S.isValid() && "start state not interned");
-  return S;
-}
 
 namespace {
 
@@ -143,57 +132,8 @@ std::vector<ObjId> DFACache::members(DFAStateId S) const {
   return Result;
 }
 
-void DFACache::materialize(DFAStateId Start) {
-  std::deque<DFAStateId> Queue{Start};
-  std::unordered_set<uint32_t> Visited{Start.idx()};
-  while (!Queue.empty()) {
-    DFAStateId S = Queue.front();
-    Queue.pop_front();
-    for (const auto &[F, T] : transitions(S))
-      if (Visited.insert(T.idx()).second)
-        Queue.push_back(T);
-  }
-}
-
-bool DFACache::allSingletonOutputs(DFAStateId Start) {
-  if (KnownAllSingleton[Start.idx()])
-    return true;
-  if (KnownMixed[Start.idx()])
-    return false;
-  std::deque<DFAStateId> Queue{Start};
-  // BFS tree: Parent[s] is the state whose transition enqueued s (Start
-  // is its own parent). Doubles as the visited set, and on failure gives
-  // the path of states that provably reach the violation.
-  std::unordered_map<uint32_t, uint32_t> Parent{{Start.idx(), Start.idx()}};
-  std::vector<DFAStateId> Region;
-  auto FailAt = [&](DFAStateId Bad) {
-    // Every state on the BFS-tree path Start..Bad reaches Bad, so the
-    // negative verdict memoizes for the whole path — a repeated query on
-    // any of them (in particular Start) is O(1) from now on.
-    for (uint32_t X = Bad.idx();;) {
-      KnownMixed[X] = true;
-      uint32_t P = Parent.at(X);
-      if (P == X)
-        break;
-      X = P;
-    }
-    return false;
-  };
-  while (!Queue.empty()) {
-    DFAStateId S = Queue.front();
-    Queue.pop_front();
-    if (KnownAllSingleton[S.idx()])
-      continue; // everything below S is already known good
-    ++CheckStatesVisited;
-    if (KnownMixed[S.idx()] || Outputs[S.idx()].size() != 1)
-      return FailAt(S);
-    Region.push_back(S);
-    for (const auto &[F, T] : transitions(S))
-      if (Parent.emplace(T.idx(), S.idx()).second)
-        Queue.push_back(T);
-  }
-  // The whole region passed; remember it so shared suffixes are skipped.
-  for (DFAStateId S : Region)
-    KnownAllSingleton[S.idx()] = true;
-  return true;
+void DFACache::expandAll() {
+  // The bound is re-read on every step: expansion interns new states.
+  for (uint32_t I = 0; I < numStates(); ++I)
+    (void)transitions(DFAStateId(I));
 }

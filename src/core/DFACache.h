@@ -19,7 +19,7 @@
 ///    containing o_null never falls off to q_error;
 ///  - outputs are the *sets* of member types; SINGLETYPE-CHECK demands
 ///    every reachable state's output be a singleton (Condition 2 of
-///    Definition 2.1).
+///    Definition 2.1), which DFAPartition::singleType decides.
 ///
 /// Subset construction over adjacency classes: a state's successor on
 /// field f is the union of succ(o, f) over its members, and members with
@@ -31,11 +31,9 @@
 /// list scans (successorsScanned() counts them). Outputs still come from
 /// every member, since objects of different types can share a class.
 ///
-/// Mutating entry points (startFor, transitions, next, materialize,
-/// allSingletonOutputs) expand the cache on demand. Their `const`
-/// overloads never write and require the state to be materialized (and,
-/// for the condition-2 verdict, checked) beforehand; the heap modeler's
-/// bucket phase uses only those.
+/// startFor, transitions and next expand the cache on demand; expandAll
+/// closes it, after which the const accessors (and DFAPartition, which
+/// decides both conditions of Definition 2.1 for every state) read it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -58,13 +56,9 @@ public:
 
   explicit DFACache(const FieldPointsToGraph &G);
 
-  /// The DFA start state {o} for root object \p O. Materializes the state
-  /// (not its successors).
+  /// The DFA start state {o} for root object \p O. Interns the state (not
+  /// its successors).
   DFAStateId startFor(ObjId O);
-
-  /// The already-interned start state {o} for \p O; never interns.
-  /// Requires a prior startFor(O) (asserted).
-  DFAStateId startFor(ObjId O) const;
 
   /// The q_error sink (always state 0).
   static constexpr DFAStateId errorState() { return DFAStateId(0); }
@@ -76,9 +70,9 @@ public:
   /// not-yet-computed state.
   const TransitionList &transitions(DFAStateId S);
 
-  /// The memoized transitions of a materialized state \p S.
+  /// The memoized transitions of an expanded state \p S.
   const TransitionList &transitions(DFAStateId S) const {
-    assert(TransComputed[S.idx()] && "state not materialized");
+    assert(TransComputed[S.idx()] && "state not expanded");
     return Trans[S.idx()];
   }
 
@@ -104,34 +98,13 @@ public:
   /// The member objects of \p S, sorted.
   std::vector<ObjId> members(DFAStateId S) const;
 
-  /// SINGLETYPE-CHECK (Condition 2 of Definition 2.1): every state
-  /// reachable from \p Start has a singleton output. Both verdicts are
-  /// memoized: successful regions are marked KnownAllSingleton, and on
-  /// failure the BFS-tree path from \p Start down to the offending state
-  /// is marked KnownMixed (each state on it reaches the violation), so
-  /// repeated checks over shared sub-automata — including repeated
-  /// queries on condition-2 violators — are O(1), not a fresh traversal.
-  bool allSingletonOutputs(DFAStateId Start);
-
-  /// The memoized verdict of the mutating allSingletonOutputs(\p S),
-  /// which must have run on S (asserted). With assertions off an
-  /// unchecked state reads as mixed, which keeps its object unmerged
-  /// (sound, never unsound).
-  bool allSingletonOutputs(DFAStateId S) const {
-    assert((KnownAllSingleton[S.idx()] || KnownMixed[S.idx()]) &&
-           "condition-2 verdict not computed");
-    return KnownAllSingleton[S.idx()];
-  }
-
-  /// Expands every state reachable from \p Start so that all transitions
-  /// are computed; afterwards the const accessors cover this region.
-  void materialize(DFAStateId Start);
+  /// Expands every interned state, including those interned along the
+  /// way, until no new state appears. Afterwards the cache is closed:
+  /// every state's transitions are computed and the const accessors
+  /// cover the whole table.
+  void expandAll();
 
   uint32_t numStates() const { return Sets.size(); }
-
-  /// States popped by allSingletonOutputs traversals since construction
-  /// (statistics; lets tests assert memoized re-queries do no BFS work).
-  uint64_t checkStatesVisited() const { return CheckStatesVisited; }
 
   /// Successor-list entries read by computeTransitions since
   /// construction (statistics; lets tests assert that a state's members
@@ -148,11 +121,8 @@ private:
   std::vector<bool> TransComputed;
   std::vector<std::vector<TypeId>> Outputs;
   std::vector<bool> ContainsNull;
-  std::vector<bool> KnownAllSingleton; ///< positive condition-2 verdicts
-  std::vector<bool> KnownMixed;        ///< negative condition-2 verdicts
-  DFAStateId NullState;                ///< the state {o_null}
-  uint64_t CheckStatesVisited = 0;     ///< BFS pops across all checks
-  uint64_t SuccessorsScanned = 0;      ///< list entries read by expansion
+  DFAStateId NullState;           ///< the state {o_null}
+  uint64_t SuccessorsScanned = 0; ///< list entries read by expansion
 
   // Reusable scratch of computeTransitions. A stamp equal to the current
   // epoch marks a class (resp. target object) as already taken.

@@ -88,14 +88,47 @@ private:
   std::vector<uint32_t> Elems, Loc, SetOf, First, End, Marked, Touched;
 };
 
+/// Condition 2 of Definition 2.1 for every state of the closed cache
+/// \p C: a state is single-typed iff no state it reaches along explicit
+/// transitions has a non-singleton output. One backward pass from those
+/// states over the reversed edges marks everything that reaches them.
+std::vector<bool> singleTypeStates(const DFACache &C) {
+  uint32_t N = C.numStates();
+  std::vector<uint32_t> PredStart(N + 1, 0);
+  for (uint32_t I = 0; I < N; ++I)
+    for (const auto &[F, T] : C.transitions(DFAStateId(I)))
+      ++PredStart[T.idx() + 1];
+  std::partial_sum(PredStart.begin(), PredStart.end(), PredStart.begin());
+  std::vector<uint32_t> Preds(PredStart[N]);
+  {
+    std::vector<uint32_t> Fill(PredStart.begin(), PredStart.end() - 1);
+    for (uint32_t I = 0; I < N; ++I)
+      for (const auto &[F, T] : C.transitions(DFAStateId(I)))
+        Preds[Fill[T.idx()]++] = I;
+  }
+  std::vector<bool> Single(N, true);
+  std::vector<uint32_t> Work;
+  for (uint32_t I = 0; I < N; ++I)
+    if (C.outputs(DFAStateId(I)).size() != 1) {
+      Single[I] = false;
+      Work.push_back(I);
+    }
+  while (!Work.empty()) {
+    uint32_t S = Work.back();
+    Work.pop_back();
+    for (uint32_t I = PredStart[S]; I < PredStart[S + 1]; ++I)
+      if (Single[Preds[I]]) {
+        Single[Preds[I]] = false;
+        Work.push_back(Preds[I]);
+      }
+  }
+  return Single;
+}
+
 } // namespace
 
-DFAPartition::DFAPartition(DFACache &Cache) {
-  // Every interned state takes part. After the heap modeler's build phase
-  // this expands nothing; the bound is re-read because expansion interns.
-  for (uint32_t I = 0; I < Cache.numStates(); ++I)
-    (void)Cache.transitions(DFAStateId(I));
-  const DFACache &C = Cache;
+DFAPartition::DFAPartition(const DFACache &C)
+    : Single(singleTypeStates(C)) {
   uint32_t N = C.numStates();
 
   // Initial partition: by output set. Outputs determine whether a state

@@ -6,6 +6,7 @@
 
 #include "core/EquivChecker.h"
 
+#include <utility>
 #include <vector>
 
 using namespace mahjong;
@@ -62,15 +63,13 @@ bool EquivChecker::equivalent(DFAStateId A, DFAStateId B) {
     auto [P1, P2] = Stack.back();
     Stack.pop_back();
     ++PairsExamined;
-    // Lazy mode expands both states first: computing one state's
-    // transitions can intern new states and move the transition table,
-    // so no reference into it may be taken before both are computed.
-    if (MutableCache) {
-      (void)MutableCache->transitions(P1);
-      (void)MutableCache->transitions(P2);
-    }
-    const DFACache::TransitionList &T1 = Cache.transitions(P1);
-    const DFACache::TransitionList &T2 = Cache.transitions(P2);
+    // Expand both states first: computing one state's transitions can
+    // intern new states and move the transition table, so no reference
+    // into it may be taken before both are computed.
+    (void)Cache.transitions(P1);
+    (void)Cache.transitions(P2);
+    const DFACache::TransitionList &T1 = std::as_const(Cache).transitions(P1);
+    const DFACache::TransitionList &T2 = std::as_const(Cache).transitions(P2);
     // The relevant alphabet is the union of both states' field sets; a
     // field one side lacks takes that side's default sink, and on any
     // other symbol both sides take their default sinks, which agree

@@ -10,8 +10,9 @@
 /// automata by comparing the full output map instead of accept flags.
 /// Runs in near-linear time O(|Σ| · |Q_larger|) per query.
 ///
-/// Works on the shared DFACache, either expanding states on demand or
-/// reading an already materialized region through the const accessors.
+/// Works on the shared DFACache, expanding states on demand. The heap
+/// modeler decides the same relation for all states at once through
+/// DFAPartition; this checker is the paper's pairwise reference.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,16 +29,9 @@ namespace mahjong::core {
 /// Decides language-and-output equivalence of two DFA states.
 class EquivChecker {
 public:
-  /// Lazy mode: \p Cache must outlive the checker; unmaterialized states
-  /// are expanded on demand.
-  explicit EquivChecker(DFACache &Cache)
-      : Cache(Cache), MutableCache(&Cache) {}
-
-  /// Read-only mode: the checker never writes to \p Cache (enforced by
-  /// const). Every queried region must already be materialized (asserted
-  /// per state by the const accessors).
-  explicit EquivChecker(const DFACache &Cache)
-      : Cache(Cache), MutableCache(nullptr) {}
+  /// \p Cache must outlive the checker; unexpanded states are expanded
+  /// on demand.
+  explicit EquivChecker(DFACache &Cache) : Cache(Cache) {}
 
   /// \returns true iff the automata rooted at \p A and \p B have
   /// identical behavior β: Σ* → P(Γ) (Condition 1 of Definition 2.1
@@ -58,8 +52,7 @@ private:
     std::unordered_map<uint32_t, uint32_t> Parent;
   };
 
-  const DFACache &Cache;
-  DFACache *MutableCache; ///< null in read-only mode
+  DFACache &Cache;
   uint64_t PairsExamined = 0;
 };
 

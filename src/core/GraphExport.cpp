@@ -69,7 +69,6 @@ std::string mahjong::core::dfaToDot(const FieldPointsToGraph &G,
   std::ostringstream OS;
   OS << "digraph dfa {\n  rankdir=LR;\n  node [shape=box];\n";
   DFAStateId Start = Cache.startFor(Root);
-  Cache.materialize(Start);
   std::unordered_set<uint32_t> Visited{Start.idx()};
   std::deque<DFAStateId> Queue{Start};
   unsigned Emitted = 0;

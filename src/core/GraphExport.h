@@ -32,7 +32,7 @@ std::string fpgToDot(const FieldPointsToGraph &G, ObjId Root,
 
 /// The determinized automaton rooted at \p Root as a DOT digraph: nodes
 /// are DFA states labeled with their member objects and output types.
-/// Materializes the region in \p Cache.
+/// Expands the emitted states in \p Cache.
 std::string dfaToDot(const FieldPointsToGraph &G, DFACache &Cache,
                      ObjId Root, unsigned MaxStates = 64);
 

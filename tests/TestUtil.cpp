@@ -6,6 +6,8 @@
 
 #include "TestUtil.h"
 
+#include "core/DFAPartition.h"
+
 #include <algorithm>
 #include <set>
 
@@ -93,4 +95,25 @@ bool mahjong::test::refTypeConsistent(const FieldPointsToGraph &G, ObjId A,
                                       ObjId B, unsigned Depth) {
   std::set<std::pair<std::vector<ObjId>, std::vector<ObjId>>> Visited;
   return refCheck(G, {A}, {B}, Depth, Visited);
+}
+
+bool mahjong::test::refSingleType(DFACache &Cache, DFAStateId Start) {
+  std::set<uint32_t> Seen{Start.idx()};
+  std::vector<DFAStateId> Work{Start};
+  while (!Work.empty()) {
+    DFAStateId S = Work.back();
+    Work.pop_back();
+    if (Cache.outputs(S).size() != 1)
+      return false;
+    for (const auto &[F, T] : Cache.transitions(S))
+      if (Seen.insert(T.idx()).second)
+        Work.push_back(T);
+  }
+  return true;
+}
+
+bool mahjong::test::partitionSingleType(DFACache &Cache, ObjId O) {
+  DFAStateId Start = Cache.startFor(O);
+  Cache.expandAll();
+  return DFAPartition(Cache).singleType(Start);
 }

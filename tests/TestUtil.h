@@ -16,6 +16,7 @@
 #ifndef MAHJONG_TESTS_TESTUTIL_H
 #define MAHJONG_TESTS_TESTUTIL_H
 
+#include "core/DFACache.h"
 #include "core/FieldPointsToGraph.h"
 #include "ir/ClassHierarchy.h"
 #include "ir/Parser.h"
@@ -162,6 +163,16 @@ inline ObjId graphObj(unsigned I) { return ObjId(I + 1); }
 /// are absorbed into constant sinks beyond it).
 bool refTypeConsistent(const core::FieldPointsToGraph &G, ObjId A, ObjId B,
                        unsigned Depth);
+
+/// SINGLETYPE-CHECK as the paper runs it, once per root: a search from
+/// \p Start along explicit transitions that fails on the first state
+/// whose output is not a singleton. The reference for
+/// DFAPartition::singleType; expands states in \p Cache on demand.
+bool refSingleType(core::DFACache &Cache, DFAStateId Start);
+
+/// DFAPartition::singleType of \p O's start state, read from the
+/// partition of \p Cache closed over every state interned so far.
+bool partitionSingleType(core::DFACache &Cache, ObjId O);
 
 } // namespace mahjong::test
 

@@ -90,6 +90,11 @@ TEST(CliSmoke, UnknownFlagNamesTheFlag) {
   EXPECT_EQ(R.Exit, cli::ExitUsage);
   EXPECT_NE(R.Err.find("unknown option '--frobnicate'"), std::string::npos)
       << R.Err;
+  // The JSON metrics come from --metrics-out FILE.json only.
+  R = run({"analyze", Mj, "--stats-json", "x"});
+  EXPECT_EQ(R.Exit, cli::ExitUsage);
+  EXPECT_NE(R.Err.find("unknown option '--stats-json'"), std::string::npos)
+      << R.Err;
 }
 
 TEST(CliSmoke, FlagMissingValueNamesTheFlag) {

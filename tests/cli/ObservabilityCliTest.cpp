@@ -5,9 +5,9 @@
 //===----------------------------------------------------------------------===//
 //
 // The CLI observability surface, driven in-process through cli::runCli:
-// --trace-out / --metrics-out / --stats-json on analyze, the gen
-// command, the serve-side stats query verb, and the serve-bench
-// heartbeat. The --stats-json rendering is pinned by a golden body:
+// --trace-out / --metrics-out on analyze, the gen command, the
+// serve-side stats query verb, and the serve-bench heartbeat. The JSON
+// rendering of --metrics-out is pinned by a golden body:
 // timing-dependent numbers are normalized away, while the counters
 // section — solver and client aggregates that are deterministic for the
 // fixture — must match byte for byte.
@@ -72,7 +72,7 @@ constexpr std::string_view FixtureSrc = R"(
   }
 )";
 
-/// Normalizes a --stats-json body for golden comparison: the counters
+/// Normalizes a --metrics-out JSON body for golden comparison: the counters
 /// section and histogram "count" lines stay verbatim (deterministic for
 /// a fixed fixture and solver), every other numeric value becomes 0 and
 /// bucket arrays are emptied (timing-dependent).
@@ -130,7 +130,7 @@ TEST(ObservabilityCli, AnalyzeWritesValidTraceAndMetrics) {
   // The mahjong pipeline phases and the solver span must all be present.
   for (const char *Span :
        {"parse", "cha", "pre-analysis", "fpg-build", "automata-merge",
-        "merge-bucket", "solve/wave", "main-analysis"})
+        "dfa-materialize", "dfa-minimize", "solve/wave", "main-analysis"})
     EXPECT_NE(TraceBody.find(std::string("\"name\": \"") + Span + "\""),
               std::string::npos)
         << Span;
@@ -189,9 +189,9 @@ TEST(ObservabilityCli, StatsJsonGolden) {
   std::string Mj = writeFile("obs_golden.mj", FixtureSrc);
   std::string Stats = testing::TempDir() + "/obs_stats.json";
   CliRun R = run({"analyze", Mj, "--analysis", "ci", "--heap", "site",
-                  "--solver", "wave", "--stats-json", Stats});
+                  "--solver", "wave", "--metrics-out", Stats});
   ASSERT_EQ(R.Exit, cli::ExitOk) << R.Err;
-  EXPECT_NE(R.Out.find("stats written to"), std::string::npos);
+  EXPECT_NE(R.Out.find("metrics written to"), std::string::npos);
   std::string Normalized = normalizeStatsJson(readFile(Stats));
   // Golden body: counters (deterministic for this fixture + wave solver)
   // verbatim; gauges and histogram statistics normalized to 0.

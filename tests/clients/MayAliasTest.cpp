@@ -15,6 +15,7 @@
 
 #include "../TestUtil.h"
 #include "core/Mahjong.h"
+#include "workload/BenchmarkPrograms.h"
 
 #include <gtest/gtest.h>
 
@@ -47,6 +48,19 @@ const char *Figure1Src = R"(
     }
   }
 )";
+
+/// The aggregate by definition: one mayAlias query per local pair.
+uint64_t pairwiseAliasedPairs(const PTAResult &R, MethodId M) {
+  std::vector<VarId> Locals;
+  for (uint32_t I = 0; I < R.P.numVars(); ++I)
+    if (R.P.var(VarId(I)).Method == M)
+      Locals.push_back(VarId(I));
+  uint64_t Pairs = 0;
+  for (size_t I = 0; I < Locals.size(); ++I)
+    for (size_t J = I + 1; J < Locals.size(); ++J)
+      Pairs += mayAlias(R, Locals[I], Locals[J]);
+  return Pairs;
+}
 
 } // namespace
 
@@ -127,4 +141,55 @@ TEST(MayAlias, AggregatePairCountOrdersAbstractions) {
 
   EXPECT_LT(BasePairs, MPairs) << "MAHJONG costs alias precision";
   EXPECT_LE(MPairs, TPairs) << "but less than blind type merging";
+}
+
+TEST(MayAlias, AggregatePairCountMatchesPairwiseQueries) {
+  auto P = parseOrDie(Figure1Src);
+  ClassHierarchy CH(*P);
+  MethodId Main = P->entryMethod();
+  core::MahjongResult MR = core::buildMahjongHeap(*P, CH);
+  AllocTypeAbstraction TypeHeap(*P);
+  for (const HeapAbstraction *Heap :
+       {static_cast<const HeapAbstraction *>(nullptr),
+        static_cast<const HeapAbstraction *>(MR.Heap.get()),
+        static_cast<const HeapAbstraction *>(&TypeHeap)}) {
+    AnalysisOptions Opts;
+    Opts.Heap = Heap;
+    auto R = runPointerAnalysis(*P, CH, Opts);
+    EXPECT_EQ(countAliasedLocalPairs(*R, Main),
+              pairwiseAliasedPairs(*R, Main));
+  }
+
+  // Null is no alias: of p, q, r, n, m only (p, q) counts.
+  auto Nulls = analyze(R"(
+    class T { }
+    class Main {
+      static method main() {
+        p = new T;
+        q = p;
+        r = new T;
+        n = null;
+        m = null;
+      }
+    }
+  )");
+  MethodId NullsMain = Nulls.P->entryMethod();
+  EXPECT_EQ(pairwiseAliasedPairs(*Nulls.R, NullsMain), 1u);
+  EXPECT_EQ(countAliasedLocalPairs(*Nulls.R, NullsMain), 1u);
+
+  // The reachable method of a generated profile with the most locals.
+  auto Gen = workload::buildBenchmarkProgram("antlr", 0.05);
+  ClassHierarchy GenCH(*Gen);
+  AnalysisOptions Opts;
+  auto R = runPointerAnalysis(*Gen, GenCH, Opts);
+  std::vector<uint32_t> NumLocals(Gen->numMethods(), 0);
+  for (uint32_t I = 0; I < Gen->numVars(); ++I)
+    ++NumLocals[Gen->var(VarId(I)).Method.idx()];
+  uint32_t Best = Gen->entryMethod().idx();
+  for (uint32_t M = 0; M < Gen->numMethods(); ++M)
+    if (R->ReachableMethod[M] && NumLocals[M] > NumLocals[Best])
+      Best = M;
+  uint64_t Want = pairwiseAliasedPairs(*R, MethodId(Best));
+  EXPECT_GT(Want, 0u) << Gen->method(MethodId(Best)).Signature;
+  EXPECT_EQ(countAliasedLocalPairs(*R, MethodId(Best)), Want);
 }

@@ -14,6 +14,7 @@
 #include "core/FieldPointsToGraph.h"
 
 #include "../TestUtil.h"
+#include "core/DFAPartition.h"
 #include "core/Mahjong.h"
 
 #include <gtest/gtest.h>
@@ -86,10 +87,13 @@ TEST(CSPreAnalysisFPG, SharperPreAnalysisSplitsSpuriousViolators) {
   EXPECT_NE(MRci.MOM[1], MRci.MOM[2]);
   EXPECT_NE(MRobj.MOM[1], MRobj.MOM[2]);
 
-  DFACache CacheCi(*MRci.FPG), CacheObj(*MRobj.FPG);
-  EXPECT_FALSE(CacheCi.allSingletonOutputs(CacheCi.startFor(ObjId(1))))
+  // The verdicts over the closed cache each heap modeler ran on.
+  auto SingleType = [](MahjongResult &MR, ObjId O) {
+    return DFAPartition(*MR.Cache).singleType(MR.Cache->startFor(O));
+  };
+  EXPECT_FALSE(SingleType(MRci, ObjId(1)))
       << "ci: mixed-type field -> condition-2 violation";
-  EXPECT_TRUE(CacheObj.allSingletonOutputs(CacheObj.startFor(ObjId(1))))
+  EXPECT_TRUE(SingleType(MRobj, ObjId(1)))
       << "2obj: exact single-typed field";
 }
 

@@ -45,7 +45,7 @@ Built buildGraph(const GraphSpec &Spec) {
 } // namespace
 
 TEST(DFACacheSharing, ManyRootsOneSharedSuffix) {
-  // 50 roots all pointing at the same leaf: materializing every root
+  // 50 roots all pointing at the same leaf: expanding every root
   // adds one start state each, but the suffix exists once.
   GraphSpec G;
   G.NumTypes = 2;
@@ -58,14 +58,15 @@ TEST(DFACacheSharing, ManyRootsOneSharedSuffix) {
     G.Edges.push_back({I, 0, Roots});
   Built B = buildGraph(G);
   for (unsigned I = 0; I < Roots; ++I)
-    B.Cache->materialize(B.Cache->startFor(graphObj(I)));
+    B.Cache->startFor(graphObj(I));
+  B.Cache->expandAll();
   // States: error + {null} + 50 singleton roots + {leaf} (+ nothing
   // else: the leaf's f0-null successor IS the null state).
   EXPECT_LE(B.Cache->numStates(), Roots + 4u);
 }
 
 TEST(DFACacheSharing, ChainSuffixesAreReused) {
-  // One long chain: materializing from every position must reuse all
+  // One long chain: expanding from every position must reuse all
   // downstream states — total states linear, not quadratic.
   GraphSpec G;
   G.NumTypes = 1;
@@ -77,27 +78,10 @@ TEST(DFACacheSharing, ChainSuffixesAreReused) {
     G.Edges.push_back({I, 0, I + 1});
   Built B = buildGraph(G);
   for (unsigned I = 0; I < N; ++I)
-    B.Cache->materialize(B.Cache->startFor(graphObj(I)));
+    B.Cache->startFor(graphObj(I));
+  B.Cache->expandAll();
   EXPECT_LE(B.Cache->numStates(), N + 4u)
       << "per-root determinization would need O(N^2) states";
-}
-
-TEST(DFACacheSharing, SingleTypeCheckMemoizationAcrossRoots) {
-  // Checking every chain position reuses the memoized good region: the
-  // second and later checks must not re-walk the whole suffix. We can't
-  // observe time portably, but we can observe correctness under heavy
-  // reuse plus the state bound above.
-  GraphSpec G;
-  G.NumTypes = 1;
-  G.NumFields = 1;
-  const unsigned N = 40;
-  for (unsigned I = 0; I < N; ++I)
-    G.TypeOf.push_back(0);
-  for (unsigned I = 0; I + 1 < N; ++I)
-    G.Edges.push_back({I, 0, I + 1});
-  Built B = buildGraph(G);
-  for (unsigned I = 0; I < N; ++I)
-    EXPECT_TRUE(B.Cache->allSingletonOutputs(B.Cache->startFor(graphObj(I))));
 }
 
 TEST(DFACacheSharing, DiamondSharesJoinPoint) {
@@ -110,9 +94,11 @@ TEST(DFACacheSharing, DiamondSharesJoinPoint) {
   G.Edges = {{0, 0, 2}, {0, 1, 3}, {1, 0, 2}, {1, 1, 3},
              {2, 0, 4}, {3, 0, 4}};
   Built B = buildGraph(G);
-  B.Cache->materialize(B.Cache->startFor(graphObj(0)));
+  B.Cache->startFor(graphObj(0));
+  B.Cache->expandAll();
   uint32_t After0 = B.Cache->numStates();
-  B.Cache->materialize(B.Cache->startFor(graphObj(1)));
+  B.Cache->startFor(graphObj(1));
+  B.Cache->expandAll();
   EXPECT_EQ(B.Cache->numStates(), After0 + 1)
       << "the second root adds only its own start state";
 }

@@ -5,8 +5,9 @@
 //===----------------------------------------------------------------------===//
 //
 // Subset construction (Algorithm 3) on the shared cache: determinism,
-// sinks, sharing across roots, SINGLETYPE-CHECK, the adjacency-class
-// work bound, and agreement with a reference construction.
+// sinks, sharing across roots, SINGLETYPE-CHECK (as decided by
+// DFAPartition over the closed cache), the adjacency-class work bound,
+// and agreement with a reference construction.
 //
 //===----------------------------------------------------------------------===//
 
@@ -133,7 +134,7 @@ TEST(DFACache, SingleTypeCheckAcceptsHomogeneousPaths) {
   G.TypeOf = {0, 1, 1, 2};
   G.Edges = {{0, 0, 1}, {0, 0, 2}, {1, 1, 3}, {2, 1, 3}};
   Built B = buildGraph(G);
-  EXPECT_TRUE(B.Cache->allSingletonOutputs(B.Cache->startFor(graphObj(0))));
+  EXPECT_TRUE(partitionSingleType(*B.Cache, graphObj(0)));
 }
 
 TEST(DFACache, SingleTypeCheckRejectsMixedTypePaths) {
@@ -144,7 +145,7 @@ TEST(DFACache, SingleTypeCheckRejectsMixedTypePaths) {
   G.TypeOf = {0, 1, 2};
   G.Edges = {{0, 0, 1}, {0, 0, 2}};
   Built B = buildGraph(G);
-  EXPECT_FALSE(B.Cache->allSingletonOutputs(B.Cache->startFor(graphObj(0))));
+  EXPECT_FALSE(partitionSingleType(*B.Cache, graphObj(0)));
 }
 
 TEST(DFACache, SingleTypeCheckRejectsObjectMixedWithNull) {
@@ -167,102 +168,7 @@ TEST(DFACache, SingleTypeCheckRejectsObjectMixedWithNull) {
   auto R = pta::runPointerAnalysis(*P, CH, Opts);
   FieldPointsToGraph G(*R);
   DFACache Cache(G);
-  EXPECT_FALSE(Cache.allSingletonOutputs(Cache.startFor(ObjId(1))));
-}
-
-TEST(DFACache, RepeatedViolatorQueryIsConstantTime) {
-  // o0.f0 reaches a mixed-type state: the first query walks the region,
-  // every later query must answer from the KnownMixed memo without any
-  // BFS work (the condition-2 negative-result regression).
-  GraphSpec G;
-  G.NumTypes = 3;
-  G.NumFields = 1;
-  G.TypeOf = {0, 1, 2};
-  G.Edges = {{0, 0, 1}, {0, 0, 2}};
-  Built B = buildGraph(G);
-  DFAStateId Start = B.Cache->startFor(graphObj(0));
-  uint64_t Before = B.Cache->checkStatesVisited();
-  EXPECT_FALSE(B.Cache->allSingletonOutputs(Start));
-  EXPECT_GT(B.Cache->checkStatesVisited(), Before) << "first query walks";
-  uint64_t AfterFirst = B.Cache->checkStatesVisited();
-  for (int I = 0; I < 5; ++I)
-    EXPECT_FALSE(B.Cache->allSingletonOutputs(Start));
-  EXPECT_EQ(B.Cache->checkStatesVisited(), AfterFirst)
-      << "repeated queries on a violator must not re-traverse its region";
-}
-
-TEST(DFACache, NegativeVerdictMemoizesAlongTheFailurePath) {
-  // A chain o0 -> o1 -> {o2,o3} whose tip mixes T1 and T2: failing the
-  // check from o0 marks the whole BFS path mixed, so a later query from
-  // the intermediate o1 is answered without traversal.
-  GraphSpec G;
-  G.NumTypes = 3;
-  G.NumFields = 1;
-  G.TypeOf = {0, 1, 1, 2};
-  G.Edges = {{0, 0, 1}, {1, 0, 2}, {1, 0, 3}};
-  Built B = buildGraph(G);
-  EXPECT_FALSE(B.Cache->allSingletonOutputs(B.Cache->startFor(graphObj(0))));
-  uint64_t AfterRoot = B.Cache->checkStatesVisited();
-  EXPECT_FALSE(B.Cache->allSingletonOutputs(B.Cache->startFor(graphObj(1))));
-  EXPECT_EQ(B.Cache->checkStatesVisited(), AfterRoot)
-      << "the shared suffix verdict was memoized by the first failure";
-}
-
-TEST(DFACache, MixedVerdictSharedAcrossRootsStopsEarly) {
-  // Two roots funnel into the same mixed suffix: the second root's query
-  // stops as soon as it touches the known-mixed shared state instead of
-  // exploring past it.
-  GraphSpec G;
-  G.NumTypes = 4;
-  G.NumFields = 1;
-  G.TypeOf = {0, 3, 1, 2};
-  G.Edges = {{0, 0, 2}, {0, 0, 3}, {1, 0, 2}, {1, 0, 3}};
-  Built B = buildGraph(G);
-  EXPECT_FALSE(B.Cache->allSingletonOutputs(B.Cache->startFor(graphObj(0))));
-  uint64_t AfterFirst = B.Cache->checkStatesVisited();
-  EXPECT_FALSE(B.Cache->allSingletonOutputs(B.Cache->startFor(graphObj(1))));
-  uint64_t SecondCost = B.Cache->checkStatesVisited() - AfterFirst;
-  EXPECT_LE(SecondCost, 2u)
-      << "the second root pays for its own start plus the shared state";
-}
-
-TEST(DFACache, ConstVerdictsMatchMutatingVerdicts) {
-  GraphSpec G;
-  G.NumTypes = 3;
-  G.NumFields = 2;
-  G.TypeOf = {0, 1, 2, 1, 1};
-  G.Edges = {{0, 0, 1}, {0, 0, 2}, {3, 1, 4}};
-  Built B = buildGraph(G);
-  std::vector<bool> Want;
-  for (unsigned I = 0; I < G.TypeOf.size(); ++I) {
-    DFAStateId S = B.Cache->startFor(graphObj(I));
-    B.Cache->materialize(S);
-    Want.push_back(B.Cache->allSingletonOutputs(S));
-  }
-  const DFACache &Const = *B.Cache;
-  for (unsigned I = 0; I < G.TypeOf.size(); ++I) {
-    DFAStateId S = Const.startFor(graphObj(I));
-    EXPECT_EQ(B.Cache->startFor(graphObj(I)), S)
-        << "const start lookup agrees with the interning path";
-    EXPECT_EQ(Const.allSingletonOutputs(S), Want[I]) << "object " << I;
-  }
-}
-
-TEST(DFACache, MaterializeThenConstQueriesAgree) {
-  GraphSpec G;
-  G.NumTypes = 2;
-  G.NumFields = 2;
-  G.TypeOf = {0, 1, 1};
-  G.Edges = {{0, 0, 1}, {0, 1, 2}, {1, 0, 2}};
-  Built B = buildGraph(G);
-  DFAStateId S0 = B.Cache->startFor(graphObj(0));
-  B.Cache->materialize(S0);
-  const DFACache &Const = *B.Cache;
-  ASSERT_FALSE(Const.transitions(S0).empty());
-  for (const auto &[F, T] : Const.transitions(S0)) {
-    EXPECT_EQ(Const.next(S0, F), T);
-    EXPECT_EQ(B.Cache->next(S0, F), T);
-  }
+  EXPECT_FALSE(partitionSingleType(Cache, ObjId(1)));
 }
 
 TEST(DFACache, CyclesProduceFinitelyManyStates) {
@@ -272,9 +178,8 @@ TEST(DFACache, CyclesProduceFinitelyManyStates) {
   G.TypeOf = {0, 0, 0};
   G.Edges = {{0, 0, 1}, {1, 0, 2}, {2, 0, 0}}; // 3-cycle
   Built B = buildGraph(G);
-  B.Cache->materialize(B.Cache->startFor(graphObj(0)));
+  EXPECT_TRUE(partitionSingleType(*B.Cache, graphObj(0)));
   EXPECT_LE(B.Cache->numStates(), 8u);
-  EXPECT_TRUE(B.Cache->allSingletonOutputs(B.Cache->startFor(graphObj(0))));
 }
 
 TEST(DFACache, OneAdjacencyClassIsScannedOncePerState) {
@@ -386,7 +291,8 @@ TEST_P(DFACachePropertyTest, MatchesReferenceSubsetConstruction) {
   const FieldPointsToGraph &G = *B.G;
   const unsigned N = Spec.TypeOf.size();
   for (unsigned I = 0; I < N; ++I)
-    B.Cache->materialize(B.Cache->startFor(graphObj(I)));
+    B.Cache->startFor(graphObj(I));
+  B.Cache->expandAll();
 
   // The cache's states by member set; interning makes them unique.
   std::map<ObjSet, DFAStateId> StateOf;

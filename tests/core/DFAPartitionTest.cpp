@@ -5,7 +5,8 @@
 //===----------------------------------------------------------------------===//
 //
 // The global behavioral partition must agree exactly with the pairwise
-// Hopcroft-Karp checker — on hand-written shapes and random graphs.
+// Hopcroft-Karp checker, and its condition-2 verdicts with a per-root
+// search — on hand-written shapes and random graphs.
 //
 //===----------------------------------------------------------------------===//
 
@@ -55,7 +56,8 @@ TEST(DFAPartition, GroupsEquivalentChainTails) {
   G.Edges = {{0, 0, 1}, {2, 0, 3}, {3, 0, 4}};
   Built B = buildGraph(G);
   for (unsigned I = 0; I < 5; ++I)
-    B.Cache->materialize(B.Cache->startFor(graphObj(I)));
+    B.Cache->startFor(graphObj(I));
+  B.Cache->expandAll();
   DFAPartition Part(*B.Cache);
   auto Blk = [&](unsigned I) {
     return Part.blockOf(B.Cache->startFor(graphObj(I)));
@@ -73,7 +75,8 @@ TEST(DFAPartition, SeparatesByOutputImmediately) {
   G.TypeOf = {0, 1, 0};
   Built B = buildGraph(G);
   for (unsigned I = 0; I < 3; ++I)
-    B.Cache->materialize(B.Cache->startFor(graphObj(I)));
+    B.Cache->startFor(graphObj(I));
+  B.Cache->expandAll();
   DFAPartition Part(*B.Cache);
   EXPECT_EQ(Part.blockOf(B.Cache->startFor(graphObj(0))),
             Part.blockOf(B.Cache->startFor(graphObj(2))));
@@ -92,7 +95,8 @@ TEST(DFAPartition, HandlesCyclesLikeHopcroftKarp) {
              /* node 3: null field */};
   Built B = buildGraph(G);
   for (unsigned I = 0; I < 4; ++I)
-    B.Cache->materialize(B.Cache->startFor(graphObj(I)));
+    B.Cache->startFor(graphObj(I));
+  B.Cache->expandAll();
   DFAPartition Part(*B.Cache);
   auto Blk = [&](unsigned I) {
     return Part.blockOf(B.Cache->startFor(graphObj(I)));
@@ -118,7 +122,8 @@ TEST_P(DFAPartitionPropertyTest, AgreesWithHopcroftKarpOnRandomGraphs) {
                        static_cast<unsigned>(Rng() % N)});
   Built B = buildGraph(G);
   for (unsigned I = 0; I < N; ++I)
-    B.Cache->materialize(B.Cache->startFor(graphObj(I)));
+    B.Cache->startFor(graphObj(I));
+  B.Cache->expandAll();
   DFAPartition Part(*B.Cache);
   EquivChecker Checker(*B.Cache);
   for (unsigned I = 0; I < N; ++I)
@@ -129,6 +134,64 @@ TEST_P(DFAPartitionPropertyTest, AgreesWithHopcroftKarpOnRandomGraphs) {
                 Checker.equivalent(SI, SJ))
           << "objects " << I << "," << J << " (seed " << GetParam() << ")";
     }
+}
+
+TEST_P(DFAPartitionPropertyTest, SingleTypeMatchesPerRootSearch) {
+  std::mt19937 Rng(GetParam() * 2654435761u + 17);
+  GraphSpec G;
+  G.NumTypes = 4;
+  G.NumFields = 1 + Rng() % 3;
+  G.SuperOf = {-1, 0, 0, -1}; // T1 and T2 inherit T0's fields
+  unsigned N = 10 + Rng() % 12;
+  for (unsigned I = 0; I < N; ++I)
+    G.TypeOf.push_back(Rng() % G.NumTypes);
+  // Sparse edges, cycles allowed: most fields stay null, so states mix
+  // o_null with objects.
+  for (unsigned E = 0, M = N / 2 + Rng() % N; E < M; ++E)
+    G.Edges.push_back({static_cast<unsigned>(Rng() % N),
+                       static_cast<unsigned>(Rng() % G.NumFields),
+                       static_cast<unsigned>(Rng() % N)});
+  auto Add = [&G](unsigned Type) {
+    G.TypeOf.push_back(Type);
+    return static_cast<unsigned>(G.TypeOf.size() - 1);
+  };
+  // Twins of different types with one adjacency list (f0 -> node 0),
+  // both held by one root's f0: a successor that outputs {T1, T2}.
+  unsigned Root = Add(3), Twin1 = Add(1), Twin2 = Add(2);
+  G.Edges.push_back({Twin1, 0, 0});
+  G.Edges.push_back({Twin2, 0, 0});
+  G.Edges.push_back({Root, 0, Twin1});
+  G.Edges.push_back({Root, 0, Twin2});
+  // Something points at the root, so the violation propagates backward.
+  G.Edges.push_back({static_cast<unsigned>(Rng() % N), 0, Root});
+  // Null mix: f0 of {A, C} is {o_null, node 2} (A's f0 is never written).
+  unsigned Mix = Add(3), A = Add(0), C = Add(0);
+  G.Edges.push_back({Mix, 0, A});
+  G.Edges.push_back({Mix, 0, C});
+  G.Edges.push_back({C, 0, 2});
+  Built B = buildGraph(G);
+  for (unsigned I = 0; I < G.TypeOf.size(); ++I)
+    B.Cache->startFor(graphObj(I));
+  B.Cache->expandAll();
+  ASSERT_EQ(B.G->adjClassOf(graphObj(Twin1)),
+            B.G->adjClassOf(graphObj(Twin2)));
+
+  DFAPartition Part(*B.Cache);
+  unsigned Single = 0, Mixed = 0, NullMixed = 0;
+  for (uint32_t I = 0; I < B.Cache->numStates(); ++I) {
+    DFAStateId S(I);
+    bool Want = refSingleType(*B.Cache, S);
+    ASSERT_EQ(Part.singleType(S), Want)
+        << "state " << I << " (seed " << GetParam() << ")";
+    ++(Want ? Single : Mixed);
+    std::vector<ObjId> Members = B.Cache->members(S);
+    NullMixed += Members.size() > 1 && Members.front() == Program::nullObj();
+  }
+  EXPECT_FALSE(Part.singleType(B.Cache->startFor(graphObj(Root))));
+  EXPECT_FALSE(Part.singleType(B.Cache->startFor(graphObj(Mix))));
+  EXPECT_GT(Single, 0u);
+  EXPECT_GT(Mixed, 1u) << "beyond q_error";
+  EXPECT_GT(NullMixed, 0u) << "some state mixes o_null with objects";
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DFAPartitionPropertyTest,
@@ -149,7 +212,8 @@ TEST(DFAPartition, LongChainsSplitLinkByLink) {
       G.Edges.push_back({C * Len + I, 0, C * Len + I + 1});
   Built B = buildGraph(G);
   for (unsigned I = 0; I < 2 * Len; ++I)
-    B.Cache->materialize(B.Cache->startFor(graphObj(I)));
+    B.Cache->startFor(graphObj(I));
+  B.Cache->expandAll();
   DFAPartition Part(*B.Cache);
   auto Blk = [&](unsigned I) {
     return Part.blockOf(B.Cache->startFor(graphObj(I)));
@@ -199,7 +263,8 @@ TEST(DFAPartition, MissingFieldEqualsExplicitEdgeToDefaultSink) {
   DFACache Cache(G);
   const ObjId R1(3), R2(4);
   for (uint32_t I = 1; I <= 4; ++I)
-    Cache.materialize(Cache.startFor(ObjId(I)));
+    Cache.startFor(ObjId(I));
+  Cache.expandAll();
   FieldId GField = P->findField(P->typeByName("R"), "g");
   DFAStateId X = Cache.next(Cache.startFor(R1), GField);
   DFAStateId Y = Cache.next(Cache.startFor(R2), GField);

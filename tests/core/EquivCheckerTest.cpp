@@ -13,6 +13,7 @@
 #include "core/EquivChecker.h"
 
 #include "../TestUtil.h"
+#include "core/DFAPartition.h"
 
 #include <gtest/gtest.h>
 
@@ -72,8 +73,8 @@ TEST(EquivChecker, Figure2AutomataAreEquivalent) {
       {6, 0, 7}, {6, 1, 8}, {7, 2, 9}, {8, 3, 9},
   };
   Built B = buildGraph(G);
-  EXPECT_TRUE(B.Cache->allSingletonOutputs(B.Cache->startFor(graphObj(0))));
-  EXPECT_TRUE(B.Cache->allSingletonOutputs(B.Cache->startFor(graphObj(6))));
+  EXPECT_TRUE(partitionSingleType(*B.Cache, graphObj(0)));
+  EXPECT_TRUE(partitionSingleType(*B.Cache, graphObj(6)));
   EXPECT_TRUE(equiv(B, 0, 6)) << "the paper's Example 2.6";
 }
 
@@ -180,6 +181,10 @@ TEST_P(EquivPropertyTest, MatchesBoundedReferenceOnRandomAcyclicGraphs) {
         G.Edges.push_back(
             {I, F, I + 1 + static_cast<unsigned>(Rng() % (N - I - 1))});
   Built B = buildGraph(G);
+  for (unsigned I = 0; I < N; ++I)
+    B.Cache->startFor(graphObj(I));
+  B.Cache->expandAll();
+  DFAPartition Part(*B.Cache);
   EquivChecker Checker(*B.Cache);
 
   unsigned Depth = N + 3; // exceeds the longest simple path: exact
@@ -189,8 +194,7 @@ TEST_P(EquivPropertyTest, MatchesBoundedReferenceOnRandomAcyclicGraphs) {
         continue; // only same-typed objects are candidates
       DFAStateId SI = B.Cache->startFor(graphObj(I));
       DFAStateId SJ = B.Cache->startFor(graphObj(J));
-      bool HK = B.Cache->allSingletonOutputs(SI) &&
-                B.Cache->allSingletonOutputs(SJ) &&
+      bool HK = Part.singleType(SI) && Part.singleType(SJ) &&
                 Checker.equivalent(SI, SJ);
       bool Ref = refTypeConsistent(*B.G, graphObj(I), graphObj(J), Depth);
       ASSERT_EQ(HK, Ref) << "objects " << I << " and " << J << " (seed "

@@ -5,21 +5,20 @@
 //===----------------------------------------------------------------------===//
 //
 // Algorithm 1 end to end: the paper's Figure 1 merging, Condition 2
-// (Example 2.4), null-field separation, representative policies, and the
-// scan-vs-partition and serial-vs-parallel agreement properties.
+// (Example 2.4), null-field separation, representative policies, and
+// agreement with the paper's pairwise scan and with Definition 2.1.
 //
 //===----------------------------------------------------------------------===//
 
 #include "core/HeapModeler.h"
 
 #include "../TestUtil.h"
+#include "core/EquivChecker.h"
 #include "core/Mahjong.h"
 #include "workload/SyntheticBuilder.h"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <map>
 #include <random>
 
 using namespace mahjong;
@@ -70,6 +69,47 @@ Modeled model(std::string_view Src, const HeapModelerOptions &Opts = {}) {
   M.Cache = std::make_unique<DFACache>(*M.G);
   M.Result = modelHeap(*M.G, *M.Cache, Opts);
   return M;
+}
+
+/// Algorithm 1 as the paper states it: each reachable object, in
+/// allocation-site order, is compared through Hopcroft-Karp with the
+/// first object of every class found so far and joins the first match;
+/// when \p EnforceC2, an object failing the per-root SINGLETYPE-CHECK
+/// keeps its own class. Returns the MOM, with each class represented by
+/// its first or last object per \p Repr.
+std::vector<ObjId> pairwiseScan(const FieldPointsToGraph &G, bool EnforceC2,
+                                ReprPolicy Repr, uint32_t &NumClasses) {
+  DFACache Cache(G);
+  EquivChecker Checker(Cache);
+  std::vector<std::vector<ObjId>> Classes;
+  std::vector<DFAStateId> ClassStart; // invalid: a violator's own class
+  for (ObjId O : G.reachableObjs()) {
+    DFAStateId Start = Cache.startFor(O);
+    bool Joined = false;
+    if (!EnforceC2 || refSingleType(Cache, Start)) {
+      for (size_t C = 0; C < Classes.size() && !Joined; ++C)
+        if (ClassStart[C].isValid() &&
+            Checker.equivalent(ClassStart[C], Start)) {
+          Classes[C].push_back(O);
+          Joined = true;
+        }
+    } else {
+      Start = DFAStateId::invalid();
+    }
+    if (!Joined) {
+      Classes.push_back({O});
+      ClassStart.push_back(Start);
+    }
+  }
+  std::vector<ObjId> MOM(G.program().numObjs());
+  for (uint32_t I = 0; I < MOM.size(); ++I)
+    MOM[I] = ObjId(I);
+  for (const std::vector<ObjId> &Members : Classes)
+    for (ObjId O : Members)
+      MOM[O.idx()] =
+          Repr == ReprPolicy::FirstSite ? Members.front() : Members.back();
+  NumClasses = Classes.size();
+  return MOM;
 }
 
 } // namespace
@@ -191,68 +231,6 @@ TEST(HeapModeler, MergingRespectsTypes) {
         << "an object and its representative always share a type";
 }
 
-// --- The partition-disagreement fallback (release-mode regression) ---
-
-// A lying block oracle maps every start state to one block, forcing the
-// grouping loop down the path where Hopcroft-Karp rejects candidate
-// after candidate. The old code only handled rejection via an assert and
-// (in release builds) forgot to register fresh groups with their block,
-// so later objects were re-tested against a stale representative. The
-// restructured loop must produce exactly the plain scan's groups under
-// ANY oracle.
-TEST(HeapModeler, LyingBlockOracleStillGroupsCorrectly) {
-  workload::WorkloadSpec Spec;
-  Spec.Seed = 7;
-  Spec.Modules = 4;
-  Spec.MixedPerMille = 150;
-  auto P = workload::buildSyntheticProgram(Spec);
-  ClassHierarchy CH(*P);
-  pta::AnalysisOptions PreOpts;
-  auto Pre = pta::runPointerAnalysis(*P, CH, PreOpts);
-  FieldPointsToGraph G(*Pre);
-
-  // Reference: the paper's plain object-vs-representative scan.
-  DFACache ScanCache(G);
-  HeapModelerOptions Scan;
-  Scan.UsePartitionIndex = false;
-  HeapModelerResult Want = modelHeap(G, ScanCache, Scan);
-
-  // Materialize and pre-warm a fresh cache the way modelHeap does.
-  DFACache Cache(G);
-  for (ObjId O : G.reachableObjs()) {
-    Cache.materialize(Cache.startFor(O));
-    Cache.allSingletonOutputs(Cache.startFor(O));
-  }
-  std::map<uint32_t, std::vector<ObjId>> Buckets;
-  for (ObjId O : G.reachableObjs())
-    Buckets[P->obj(O).Type.idx()].push_back(O);
-
-  std::vector<ObjId> MOM(P->numObjs());
-  for (uint32_t I = 0; I < P->numObjs(); ++I)
-    MOM[I] = ObjId(I);
-  uint64_t PairsTested = 0;
-  for (auto &[TypeIdx, Objs] : Buckets) {
-    auto Groups = groupByBlockOracle(
-        Objs, Cache, [](DFAStateId) { return 0u; },
-        /*EnforceCondition2=*/true, PairsTested);
-    // Consistency: groups cover the bucket exactly once, and every
-    // member merges to the group's first (lowest-id) object.
-    size_t Covered = 0;
-    for (const std::vector<ObjId> &Group : Groups) {
-      ASSERT_FALSE(Group.empty());
-      Covered += Group.size();
-      ObjId Repr = *std::min_element(Group.begin(), Group.end());
-      for (ObjId Member : Group)
-        MOM[Member.idx()] = Repr;
-    }
-    ASSERT_EQ(Covered, Objs.size());
-  }
-  EXPECT_EQ(MOM, Want.MOM)
-      << "a degenerate oracle must not change the equivalence classes";
-  EXPECT_GE(PairsTested, Want.PairsTested)
-      << "the lying oracle can only add certification work, never skip it";
-}
-
 // --- Property sweeps ---
 
 class HeapModelerPropertyTest : public ::testing::TestWithParam<unsigned> {};
@@ -269,15 +247,21 @@ TEST_P(HeapModelerPropertyTest, PartitionIndexMatchesPlainScan) {
   auto Pre = pta::runPointerAnalysis(*P, CH, PreOpts);
   FieldPointsToGraph G(*Pre);
 
-  DFACache CacheA(G), CacheB(G);
-  HeapModelerOptions Scan;
-  Scan.UsePartitionIndex = false;
-  HeapModelerOptions Index;
-  Index.UsePartitionIndex = true;
-  HeapModelerResult A = modelHeap(G, CacheA, Scan);
-  HeapModelerResult B = modelHeap(G, CacheB, Index);
-  ASSERT_EQ(A.MOM, B.MOM) << "seed " << GetParam();
-  EXPECT_EQ(A.NumClasses, B.NumClasses);
+  for (bool EnforceC2 : {true, false})
+    for (ReprPolicy Repr : {ReprPolicy::FirstSite, ReprPolicy::LastSite}) {
+      uint32_t WantClasses = 0;
+      std::vector<ObjId> Want = pairwiseScan(G, EnforceC2, Repr, WantClasses);
+      DFACache Cache(G);
+      HeapModelerOptions Opts;
+      Opts.EnforceCondition2 = EnforceC2;
+      Opts.Repr = Repr;
+      HeapModelerResult Got = modelHeap(G, Cache, Opts);
+      ASSERT_EQ(Got.MOM, Want) << "seed " << GetParam() << ", condition 2 "
+                               << EnforceC2 << ", last-site "
+                               << (Repr == ReprPolicy::LastSite);
+      EXPECT_EQ(Got.NumClasses, WantClasses);
+      EXPECT_EQ(Got.PairsTested, 0u);
+    }
 }
 
 TEST_P(HeapModelerPropertyTest, AgreesWithDefinition21OnRandomGraphs) {
