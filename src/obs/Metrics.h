@@ -8,9 +8,9 @@
 /// A metrics registry: named monotonic counters, gauges, and
 /// log-bucketed histograms (support/Histogram.h), exported as stable
 /// sorted-key JSON and as Prometheus text exposition. The registry is the
-/// common surface behind `analyze --metrics-out/--stats-json` and the
-/// serve-side `stats` query verb; pta::exportStats (PointerAnalysis.h)
-/// publishes every PTAStats field through it.
+/// common surface behind `analyze --metrics-out` and the serve-side
+/// `stats` query verb; pta::exportStats (PointerAnalysis.h) publishes
+/// every PTAStats field through it.
 ///
 /// Thread safety: name lookup takes a mutex; the returned references are
 /// stable for the registry's lifetime and their mutators are atomic, so

@@ -12,19 +12,14 @@ using namespace mahjong;
 using namespace mahjong::pta;
 
 bool CallGraph::addEdge(ContextId CallerCtx, CallSiteId Site,
-                        ContextId CalleeCtx, MethodId Callee) {
+                        CSMethodId CSCallee, MethodId Callee) {
   uint64_t CSSiteKey =
       (static_cast<uint64_t>(CallerCtx.idx()) << 32) | Site.idx();
-  uint64_t CSCalleeKey =
-      (static_cast<uint64_t>(CalleeCtx.idx()) << 32) | Callee.idx();
   uint32_t SiteId = CSSites.intern(CSSiteKey).idx();
-  uint32_t CalleeId = CSCallees.intern(CSCalleeKey).idx();
-  bool New =
-      CSEdges.insert((static_cast<uint64_t>(SiteId) << 32) | CalleeId).second;
-  if (!New)
+  if (!CSEdges.insert((static_cast<uint64_t>(SiteId) << 32) | CSCallee.idx()))
     return false;
   uint64_t CIKey = (static_cast<uint64_t>(Site.idx()) << 32) | Callee.idx();
-  if (CIEdges.insert(CIKey).second)
+  if (CIEdges.insert(CIKey))
     SiteTargets[Site.idx()].push_back(Callee);
   return true;
 }

@@ -17,9 +17,9 @@
 
 #include "ir/Program.h"
 #include "pta/Context.h"
+#include "support/FlatHash.h"
 
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 namespace mahjong::pta {
@@ -27,9 +27,10 @@ namespace mahjong::pta {
 /// Context-sensitive call graph with CI projections.
 class CallGraph {
 public:
-  /// Records the edge (CallerCtx, Site) -> (CalleeCtx, Callee).
+  /// Records the edge (CallerCtx, Site) -> \p CSCallee, the cs-method
+  /// (callee context, \p Callee) as interned by the solver's CSManager.
   /// \returns true if the context-sensitive edge is new.
-  bool addEdge(ContextId CallerCtx, CallSiteId Site, ContextId CalleeCtx,
+  bool addEdge(ContextId CallerCtx, CallSiteId Site, CSMethodId CSCallee,
                MethodId Callee);
 
   /// Number of distinct context-sensitive edges.
@@ -46,12 +47,11 @@ public:
   std::vector<CallSiteId> callSitesWithEdges() const;
 
 private:
-  std::unordered_set<uint64_t> CSEdges; ///< hashed (csCallSite, csCallee)
-  std::unordered_set<uint64_t> CIEdges; ///< packed (site, method)
+  FlatMap64 CSEdges; ///< packed (cs call site, cs callee)
+  FlatMap64 CIEdges; ///< packed (site, method)
   std::unordered_map<uint32_t, std::vector<MethodId>> SiteTargets;
-  // CS call-site / cs-callee interning for the 64-bit cs edge key.
+  /// (caller context, site) interning, for the 64-bit cs edge key.
   Interner<Id<struct CSSiteTag>, uint64_t> CSSites;
-  Interner<CSMethodId, uint64_t> CSCallees;
 };
 
 } // namespace mahjong::pta

@@ -37,7 +37,7 @@ void NaiveSolver::addEdge(PtrNodeId Src, PtrNodeId Dst, TypeId Filter) {
     return;
   uint64_t Key = (static_cast<uint64_t>(Src.idx()) << 32) | Dst.idx();
   if (!Filter.isValid()) {
-    if (!EdgeDedup.insert(Key).second)
+    if (!EdgeDedup.insert(Key))
       return;
   } else {
     // Filtered edges (casts) are rare per node; scan for an exact

@@ -51,8 +51,8 @@ private:
   /// must be valid; unfiltered edges never materialize a filtered copy).
   PointsToSet filtered(const PointsToSet &Set, TypeId Filter) const;
 
-  std::vector<std::vector<Edge>> Out;     ///< indexed by PtrNodeId
-  std::unordered_set<uint64_t> EdgeDedup; ///< packed (src, dst), unfiltered
+  std::vector<std::vector<Edge>> Out; ///< indexed by PtrNodeId
+  FlatMap64 EdgeDedup;                ///< packed (src, dst), unfiltered
   // Coalescing worklist: one pending delta per node, so bursts of tiny
   // deltas through hub nodes merge before they are propagated.
   std::vector<PointsToSet> Pending; ///< indexed by PtrNodeId

@@ -91,7 +91,7 @@ void Solver::addEdge(PtrNodeId Src, PtrNodeId Dst, TypeId Filter) {
     return;
   if (!Filter.isValid()) {
     uint64_t Key = (static_cast<uint64_t>(S) << 32) | D;
-    if (!EdgeDedup.insert(Key).second)
+    if (!EdgeDedup.insert(Key))
       return;
     ++UnfilteredEdges;
   } else {
@@ -189,7 +189,7 @@ void Solver::collapseScc(const std::vector<uint32_t> &Members) {
   // representatives, dropping edges that became internal to the class and
   // deduplicating what remains.
   std::vector<Edge> Merged;
-  std::unordered_set<uint64_t> Local;
+  FlatMap64 Local;
   for (uint32_t M : Members) {
     for (const Edge &E : Out[M]) {
       uint32_t T = rep(E.Target.idx());
@@ -197,7 +197,7 @@ void Solver::collapseScc(const std::vector<uint32_t> &Members) {
         continue;
       uint64_t Key = (static_cast<uint64_t>(T) << 32) |
                      (E.Filter.isValid() ? E.Filter.idx() + 1u : 0u);
-      if (!Local.insert(Key).second)
+      if (!Local.insert(Key))
         continue;
       if (!E.Filter.isValid())
         EdgeDedup.insert((static_cast<uint64_t>(W) << 32) | T);

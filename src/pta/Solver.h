@@ -48,8 +48,6 @@
 #include "pta/SolverCore.h"
 #include "support/DisjointSets.h"
 
-#include <unordered_map>
-
 namespace mahjong::pta {
 
 /// The default fixpoint engine (SolverEngine::Wave).
@@ -104,7 +102,7 @@ private:
   // --- Per-node state (indexed by PtrNodeId; authoritative only at
   // representatives once classes merge) ---
   std::vector<std::vector<Edge>> Out;
-  std::unordered_set<uint64_t> EdgeDedup; ///< packed (repSrc, repDst)
+  FlatMap64 EdgeDedup; ///< packed (repSrc, repDst)
   std::vector<PointsToSet> Pending;
   std::vector<uint8_t> Queued;
   std::vector<uint32_t> Order; ///< topological priority (smaller = earlier)

@@ -51,7 +51,13 @@ PtrNodeId SolverCore::node(uint64_t Key) {
 }
 
 PtrNodeId SolverCore::varNode(ContextId C, VarId V) {
-  return node(PTAResult::varKey(R.CSM.csVar(C, V)));
+  // cs-variables are interned only here, so a new one gets its node at
+  // once and VarNodes grows in step with the cs-variable ids.
+  CSVarId CV = R.CSM.csVar(C, V);
+  assert(CV.idx() <= VarNodes.size() && "cs-variable interned elsewhere");
+  if (CV.idx() == VarNodes.size())
+    VarNodes.push_back(node(PTAResult::varKey(CV)));
+  return VarNodes[CV.idx()];
 }
 
 PtrNodeId SolverCore::fieldNode(CSObjId O, FieldId F) {
@@ -64,14 +70,14 @@ PtrNodeId SolverCore::staticNode(FieldId F) {
 
 MethodId SolverCore::dispatch(TypeId RecvType, CallSiteId Site) {
   uint64_t Key = (static_cast<uint64_t>(RecvType.idx()) << 32) | Site.idx();
-  auto It = DispatchCache.find(Key);
-  if (It != DispatchCache.end())
-    return It->second;
+  uint32_t Cached = DispatchCache.find(Key);
+  if (Cached != FlatMap64::Empty)
+    return decodeCallee(Cached);
   const CallSiteInfo &CS = P.callSite(Site);
   MethodId Callee = CS.Kind == CallKind::Virtual
                         ? CH.resolveVirtual(RecvType, CS.Sig)
                         : CS.Direct;
-  DispatchCache.emplace(Key, Callee);
+  DispatchCache.tryEmplace(Key, encodeCallee(Callee));
   return Callee;
 }
 
@@ -98,11 +104,11 @@ void SolverCore::processCallsOnDelta(ContextId C, CallSiteId Site,
         (static_cast<uint64_t>(Callee.idx()) << 32) | CalleeCtx.idx();
     if (Key != LastKey) {
       LastKey = Key;
-      auto [It, Inserted] =
-          BindIndex.try_emplace(Key, static_cast<uint32_t>(BindGroups.size()));
+      auto [Group, Inserted] =
+          BindIndex.tryEmplace(Key, static_cast<uint32_t>(BindGroups.size()));
       if (Inserted)
         BindGroups.push_back({Callee, CalleeCtx, {}});
-      LastGroup = It->second;
+      LastGroup = Group;
     }
     BindGroups[LastGroup].Recvs.insert(Raw);
   }
@@ -113,9 +119,8 @@ void SolverCore::processCallsOnDelta(ContextId C, CallSiteId Site,
   for (BindGroup &G : BindGroups) {
     const MethodInfo &CalleeInfo = P.method(G.Callee);
     seedDelta(varNode(G.Ctx, CalleeInfo.This), std::move(G.Recvs));
-    if (!R.CG.addEdge(C, Site, G.Ctx, G.Callee))
+    if (!addCallEdge(C, Site, G.Ctx, G.Callee))
       continue;
-    addReachable(G.Ctx, G.Callee);
     for (size_t I = 0; I < CS.Args.size() && I < CalleeInfo.Params.size();
          ++I)
       addEdge(varNode(C, CS.Args[I]), varNode(G.Ctx, CalleeInfo.Params[I]));
@@ -155,9 +160,8 @@ void SolverCore::processStaticCall(ContextId C, CallSiteId Site) {
   MethodId Callee = CS.Direct;
   const MethodInfo &CalleeInfo = P.method(Callee);
   ContextId CalleeCtx = Selector.selectStaticCallee(C, Site);
-  if (!R.CG.addEdge(C, Site, CalleeCtx, Callee))
+  if (!addCallEdge(C, Site, CalleeCtx, Callee))
     return;
-  addReachable(CalleeCtx, Callee);
   for (size_t I = 0; I < CS.Args.size() && I < CalleeInfo.Params.size(); ++I)
     addEdge(varNode(C, CS.Args[I]), varNode(CalleeCtx, CalleeInfo.Params[I]));
   if (CS.Result.isValid())
@@ -167,8 +171,25 @@ void SolverCore::processStaticCall(ContextId C, CallSiteId Site) {
 }
 
 void SolverCore::addReachable(ContextId C, MethodId M) {
-  if (!ReachableCS.insert(R.CSM.csMethod(C, M).idx()).second)
-    return;
+  uint32_t Known = R.CSM.numCSMethods();
+  if (R.CSM.csMethod(C, M).idx() >= Known)
+    expandMethod(C, M);
+}
+
+bool SolverCore::addCallEdge(ContextId C, CallSiteId Site, ContextId CalleeCtx,
+                             MethodId Callee) {
+  // cs-method ids are dense in first-seen order, so a new one is not below
+  // the count read before interning.
+  uint32_t Known = R.CSM.numCSMethods();
+  CSMethodId CM = R.CSM.csMethod(CalleeCtx, Callee);
+  if (!R.CG.addEdge(C, Site, CM, Callee))
+    return false; // the callee of an existing edge is reachable already
+  if (CM.idx() >= Known)
+    expandMethod(CalleeCtx, Callee);
+  return true;
+}
+
+void SolverCore::expandMethod(ContextId C, MethodId M) {
   R.MethodCtxs[M.idx()].push_back(C);
   R.ReachableMethod[M.idx()] = true;
   const MethodInfo &MI = P.method(M);

@@ -21,12 +21,19 @@
 
 #include "pta/PointerAnalysis.h"
 #include "pta/SetBackend.h"
+#include "support/FlatHash.h"
 
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 namespace mahjong::pta {
+
+/// A dispatch result as stored in a FlatMap64: the raw id plus one, so a
+/// call with no callee (the invalid id, whose raw value is the table's
+/// empty sentinel) is cached as 0.
+inline uint32_t encodeCallee(MethodId M) { return M.raw() + 1u; }
+inline MethodId decodeCallee(uint32_t Stored) {
+  return Stored == 0 ? MethodId::invalid() : MethodId(Stored - 1u);
+}
 
 /// One fixpoint computation. Construct an engine, call run(), read the
 /// PTAResult.
@@ -69,7 +76,19 @@ protected:
   PtrNodeId fieldNode(CSObjId O, FieldId F);
   PtrNodeId staticNode(FieldId F);
 
+  /// Makes \p M reachable under \p C (the entry method).
   void addReachable(ContextId C, MethodId M);
+
+  /// Adds the call-graph edge (C, Site) -> (CalleeCtx, Callee) and makes
+  /// the callee reachable under CalleeCtx.
+  /// \returns false if the edge already existed.
+  bool addCallEdge(ContextId C, CallSiteId Site, ContextId CalleeCtx,
+                   MethodId Callee);
+
+  /// Expands the statements of \p M under \p C; runs once per cs-method,
+  /// when it is first interned.
+  void expandMethod(ContextId C, MethodId M);
+
   void processStaticCall(ContextId C, CallSiteId Site);
   void onVarGrowth(ContextId C, VarId V, const PointsToSet &Delta);
 
@@ -102,19 +121,25 @@ protected:
   };
   std::vector<VarUsage> Usage;
 
-  std::unordered_set<uint32_t> ReachableCS; ///< CSMethodId raw values
-  std::unordered_map<uint64_t, MethodId> DispatchCache;
+  /// The pointer node of each cs-variable, indexed by CSVarId: one array
+  /// read in place of a second table lookup on every varNode().
+  std::vector<PtrNodeId> VarNodes;
 
-  /// Scratch state of processCallsOnDelta, kept as members so the maps'
-  /// bucket arrays survive across calls (the function is not reentrant:
-  /// nothing downstream of it re-enters call processing).
+  /// (receiver type, call site) -> encodeCallee(callee).
+  FlatMap64 DispatchCache;
+
+  /// Scratch state of processCallsOnDelta, kept as members so their
+  /// storage survives across calls; BindIndex.clear() shrinks the table
+  /// after an outsized delta, so later small calls do not pay for it (the
+  /// function is not reentrant: nothing downstream of it re-enters call
+  /// processing).
   struct BindGroup {
     MethodId Callee;
     ContextId Ctx;
     PointsToSet Recvs;
   };
   std::vector<BindGroup> BindGroups;
-  std::unordered_map<uint64_t, uint32_t> BindIndex; ///< (callee,ctx) -> idx
+  FlatMap64 BindIndex; ///< (callee, ctx) -> index into BindGroups
   uint32_t CSNullObjRaw = 0;
 };
 

@@ -5,15 +5,23 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Generic interning of values to dense 32-bit ids, used for contexts,
-/// context-sensitive variables/objects, and determinized automaton states.
-/// Interned values are stored once; ids index a side vector for O(1)
-/// reverse lookup.
+/// Interning of values to dense 32-bit ids, handed out in first-seen
+/// order. Interned values are stored once; ids index a side vector for
+/// O(1) reverse lookup.
+///
+/// Two forms: the generic one, over a node-based std::unordered_map, serves
+/// the vector keys (contexts, determinized automaton states, snapshot
+/// sets); the uint64_t specialisation, over the flat open-addressing
+/// FlatMap64, serves every packed integer key of the solver
+/// (context-sensitive variables, objects and methods, pointer nodes and
+/// call-graph call sites), where interning is the hot path.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef MAHJONG_SUPPORT_INTERNER_H
 #define MAHJONG_SUPPORT_INTERNER_H
+
+#include "support/FlatHash.h"
 
 #include <cassert>
 #include <cstddef>
@@ -69,6 +77,35 @@ public:
 private:
   std::unordered_map<V, uint32_t, Hash> Map;
   std::vector<V> Values;
+};
+
+/// Interning of packed 64-bit keys through a FlatMap64. Same contract as
+/// the generic form; get() returns by value, so it survives later interns.
+template <typename IdT> class Interner<IdT, uint64_t, std::hash<uint64_t>> {
+public:
+  IdT intern(uint64_t Value) {
+    auto [Id, Inserted] =
+        Map.tryEmplace(Value, static_cast<uint32_t>(Values.size()));
+    if (Inserted)
+      Values.push_back(Value);
+    return IdT(Id);
+  }
+
+  IdT lookup(uint64_t Value) const {
+    uint32_t Id = Map.find(Value);
+    return Id == FlatMap64::Empty ? IdT::invalid() : IdT(Id);
+  }
+
+  uint64_t get(IdT Id) const {
+    assert(Id.idx() < Values.size() && "interner id out of range");
+    return Values[Id.idx()];
+  }
+
+  uint32_t size() const { return static_cast<uint32_t>(Values.size()); }
+
+private:
+  FlatMap64 Map;
+  std::vector<uint64_t> Values;
 };
 
 } // namespace mahjong

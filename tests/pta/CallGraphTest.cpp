@@ -16,12 +16,12 @@ using namespace mahjong::test;
 
 TEST(CallGraph, DeduplicatesCSAndCIEdges) {
   CallGraph CG;
-  EXPECT_TRUE(CG.addEdge(ContextId(0), CallSiteId(1), ContextId(0),
+  EXPECT_TRUE(CG.addEdge(ContextId(0), CallSiteId(1), CSMethodId(0),
                          MethodId(7)));
-  EXPECT_FALSE(CG.addEdge(ContextId(0), CallSiteId(1), ContextId(0),
+  EXPECT_FALSE(CG.addEdge(ContextId(0), CallSiteId(1), CSMethodId(0),
                           MethodId(7)))
       << "exact duplicate";
-  EXPECT_TRUE(CG.addEdge(ContextId(3), CallSiteId(1), ContextId(4),
+  EXPECT_TRUE(CG.addEdge(ContextId(3), CallSiteId(1), CSMethodId(1),
                          MethodId(7)))
       << "new cs edge, same ci edge";
   EXPECT_EQ(CG.numCSEdges(), 2u);
@@ -31,9 +31,9 @@ TEST(CallGraph, DeduplicatesCSAndCIEdges) {
 
 TEST(CallGraph, TracksDistinctTargetsPerSite) {
   CallGraph CG;
-  CG.addEdge(ContextId(0), CallSiteId(5), ContextId(0), MethodId(1));
-  CG.addEdge(ContextId(0), CallSiteId(5), ContextId(0), MethodId(2));
-  CG.addEdge(ContextId(0), CallSiteId(6), ContextId(0), MethodId(1));
+  CG.addEdge(ContextId(0), CallSiteId(5), CSMethodId(0), MethodId(1));
+  CG.addEdge(ContextId(0), CallSiteId(5), CSMethodId(1), MethodId(2));
+  CG.addEdge(ContextId(0), CallSiteId(6), CSMethodId(0), MethodId(1));
   EXPECT_EQ(CG.calleesOf(CallSiteId(5)).size(), 2u);
   EXPECT_EQ(CG.calleesOf(CallSiteId(6)).size(), 1u);
   EXPECT_TRUE(CG.calleesOf(CallSiteId(7)).empty());

@@ -49,8 +49,9 @@ TEST(EngineSelect, ChoiceIsMonotoneInWork) {
     SolverEngine E = chooseSolverEngine(Vars, Vars / 8);
     if (E == SolverEngine::Wave)
       SeenWave = true;
-    if (SeenWave)
+    if (SeenWave) {
       EXPECT_NE(E, SolverEngine::Naive) << "regressed at " << Vars;
+    }
   }
   EXPECT_TRUE(SeenWave);
 }

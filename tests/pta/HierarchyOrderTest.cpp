@@ -157,8 +157,9 @@ TEST(HierarchyOrder, RangeFiltersMatchSemanticsOnRealHierarchies) {
     for (size_t I = 0; I < Ranges.size(); ++I) {
       EXPECT_LT(Ranges[I].first, Ranges[I].second);
       EXPECT_LE(Ranges[I].second, N);
-      if (I)
+      if (I) {
         EXPECT_LT(Ranges[I - 1].second, Ranges[I].first);
+      }
     }
     PointsToSet S;
     for (int Draw = 0; Draw < 200; ++Draw)

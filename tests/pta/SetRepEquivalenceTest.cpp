@@ -81,10 +81,11 @@ TEST_P(SetRepProfile, AllBackendsAllEnginesAgreeOnCI) {
       else
         WaveSetBytes = R->Stats.SetBytes;
     }
-    if (Rep == SetRep::Hierarchy)
+    if (Rep == SetRep::Hierarchy) {
       EXPECT_EQ(NaiveSetBytes, WaveSetBytes)
           << GetParam() << "/hierarchy: pinned numbering must make "
                            "SetBytes engine-invariant";
+    }
   }
 }
 

@@ -40,6 +40,35 @@ TEST(Interner, LookupDoesNotIntern) {
   EXPECT_EQ(I.size(), 1u);
 }
 
+TEST(Interner, FlatUint64KeysAreDenseInFirstSeenOrder) {
+  // The uint64_t specialisation (FlatMap64 underneath) over the key shapes
+  // the solver interns: 0, packed pairs, and pointer-node keys whose top
+  // two bits carry the node kind.
+  std::vector<uint64_t> Keys = {0,
+                                1,
+                                (uint64_t{7} << 32) | 3,
+                                1ull << 62,
+                                (1ull << 62) | (uint64_t{5} << 20) | 2,
+                                2ull << 62,
+                                (2ull << 62) | 9,
+                                ~0ull};
+  for (uint64_t I = 1; I <= 5000; ++I) // distinct from the keys above
+    Keys.push_back((I % 3) << 62 | (I * 0x10001ull));
+  Interner<TestId, uint64_t> In;
+  for (size_t I = 0; I < Keys.size(); ++I) {
+    EXPECT_FALSE(In.lookup(Keys[I]).isValid()) << "unseen key " << Keys[I];
+    EXPECT_EQ(In.intern(Keys[I]).idx(), I);
+  }
+  ASSERT_EQ(In.size(), Keys.size());
+  for (size_t I = 0; I < Keys.size(); ++I) {
+    EXPECT_EQ(In.intern(Keys[I]).idx(), I) << "re-interning is stable";
+    EXPECT_EQ(In.lookup(Keys[I]).idx(), I);
+    EXPECT_EQ(In.get(TestId(static_cast<uint32_t>(I))), Keys[I]);
+  }
+  EXPECT_EQ(In.size(), Keys.size()) << "lookups and re-interns add nothing";
+  EXPECT_FALSE(In.lookup(3ull << 62).isValid());
+}
+
 TEST(Interner, VectorKeysWithVectorHash) {
   Interner<TestId, std::vector<uint32_t>, VectorHash> I;
   TestId Empty = I.intern({});
