@@ -114,16 +114,19 @@ BENCHMARK(BM_PointsToSetDifferenceSkewed)
     ->Args({1 << 14, 16})
     ->Args({1 << 14, 256});
 
-// Backend axis: 0 = bitmap filter (chunked: intersectWith a full
-// per-type bitmap), 1 = range filter (hierarchy: intersectWithRanges
-// against the RLE encoding of the same pass set). The range list here is
-// the bitmap's own run-length encoding, so both modes compute the exact
-// same result; real hierarchy filters are far more compact (a few runs),
-// making this the range path's worst case.
+// Filter axis, both through SetRepOps' one primitive,
+// intersectWithRanges: 0 = all bitmap (chunked numbering: no ranges, the
+// whole pass set in the bitmap), 1 = all ranges (the ranked block under
+// hierarchy numbering: the RLE encoding of the same pass set, no
+// bitmap). The range list here is the bitmap's own run-length encoding,
+// so both modes compute the exact same result; real hierarchy filters
+// are far more compact (a few runs), making this the range path's worst
+// case.
 static void BM_PointsToSetIntersectSkewed(benchmark::State &State) {
   auto [A, B] = skewedSets(static_cast<uint32_t>(State.range(0)),
                            static_cast<uint32_t>(State.range(1)));
   const bool UseRanges = State.range(2) == 1;
+  State.SetLabel(UseRanges ? "ranges" : "bitmap");
   std::vector<std::pair<uint32_t, uint32_t>> Ranges;
   if (UseRanges) {
     uint32_t Start = 0, Prev = 0;
@@ -143,10 +146,7 @@ static void BM_PointsToSetIntersectSkewed(benchmark::State &State) {
   }
   for (auto _ : State) {
     PointsToSet S = B; // the type-filter pattern: copy delta, intersect
-    if (UseRanges)
-      S.intersectWithRanges(Ranges);
-    else
-      S.intersectWith(A);
+    S.intersectWithRanges(Ranges, UseRanges ? nullptr : &A);
     benchmark::DoNotOptimize(S.size());
   }
   State.SetItemsProcessed(State.iterations());

@@ -31,11 +31,6 @@ bool mahjong::clients::castMayFail(const PTAResult &R, uint32_t CastIdx) {
   return false;
 }
 
-std::vector<MethodId> mahjong::clients::virtualTargets(const PTAResult &R,
-                                                       CallSiteId Site) {
-  return R.CG.calleesOf(Site);
-}
-
 ClientResults mahjong::clients::evaluateClients(const PTAResult &R) {
   ClientResults CR;
   CR.CallGraphEdges = R.CG.numCIEdges();

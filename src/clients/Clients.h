@@ -48,10 +48,6 @@ ClientResults evaluateClients(const pta::PTAResult &R);
 /// subtype of the target (null never fails).
 bool castMayFail(const pta::PTAResult &R, uint32_t CastIdx);
 
-/// Targets of a virtual call site, CI-projected; empty if unreachable.
-std::vector<MethodId> virtualTargets(const pta::PTAResult &R,
-                                     CallSiteId Site);
-
 /// Renders the metrics as "edges=... poly=... mayfail=..." for logs.
 std::string toString(const ClientResults &CR);
 

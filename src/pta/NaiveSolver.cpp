@@ -60,14 +60,12 @@ PointsToSet NaiveSolver::filtered(const PointsToSet &Set,
                                   TypeId Filter) const {
   // Deliberately per-element: by never touching the backend's filter
   // structures this engine independently validates them — a bug in the
-  // bitmap/range-mask construction shows up as a digest mismatch against
+  // range or bitmap construction shows up as a digest mismatch against
   // this semantic ground truth.
   PointsToSet Result;
-  for (uint32_t Raw : Set) {
-    TypeId T = Ops.typeOf(Raw);
-    if (CH.isSubtype(T, Filter))
+  for (uint32_t Raw : Set)
+    if (CH.isSubtype(R.typeOfCSObj(Raw), Filter))
       Result.insert(Raw);
-  }
   return Result;
 }
 
@@ -110,9 +108,6 @@ void NaiveSolver::propagate(PtrNodeId N, const PointsToSet &Delta) {
 
 bool NaiveSolver::run() {
   Timer Clock;
-  // Ensure the null cs-object's type is recorded before any filtering.
-  registerCSObj(CSNullObjRaw, P.nullType());
-
   addReachable(R.Ctxs.empty(), P.entryMethod());
 
   uint64_t Pops = 0;

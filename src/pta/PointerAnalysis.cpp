@@ -269,20 +269,19 @@ mahjong::pta::runPointerAnalysis(const Program &P, const ClassHierarchy &CH,
                             ? chooseSolverEngine(P)
                             : Opts.Engine;
   R->EngineName = solverEngineName(Engine);
-  // The set-representation backend lives outside the engine: prepare()
-  // must run before the engine constructor interns its first cs-object
-  // (the hierarchy backend renumbers them), and the same strategy object
-  // serves whichever engine runs.
-  std::unique_ptr<SetRepOps> Ops = makeSetRepOps(Opts.Rep, P, CH);
+  // The set-representation backend lives outside the engine: it must be
+  // constructed before the engine constructor interns its first cs-object
+  // (hierarchy numbering pre-interns the ranked block), and the same
+  // object serves whichever engine runs.
+  SetRepOps Ops(Opts.Rep, *R);
   R->SetRepName = setRepName(Opts.Rep);
-  Ops->prepare(*R);
   if (Engine == SolverEngine::Naive) {
     obs::ScopedSpan Span("solve/naive");
-    NaiveSolver S(P, CH, Heap, *Selector, *Ops, *R, Opts.TimeBudgetSeconds);
+    NaiveSolver S(P, CH, Heap, *Selector, Ops, *R, Opts.TimeBudgetSeconds);
     S.run();
   } else {
     obs::ScopedSpan Span("solve/wave");
-    Solver S(P, CH, Heap, *Selector, *Ops, *R, Opts.TimeBudgetSeconds);
+    Solver S(P, CH, Heap, *Selector, Ops, *R, Opts.TimeBudgetSeconds);
     S.run();
   }
   return R;

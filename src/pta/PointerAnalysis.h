@@ -55,7 +55,9 @@ struct PTAStats {
   // Wave-propagation engine counters (zero under the naive engine).
   uint64_t SCCsCollapsed = 0;  ///< copy-edge SCCs merged online
   uint64_t NodesCollapsed = 0; ///< nodes absorbed into a representative
-  uint64_t FilterBitmapHits = 0; ///< cast filters served by a type bitmap
+  /// Cast-edge firings filtered through SetRepOps::filter (rank ranges
+  /// plus one bitmap); the naive engine filters per element instead.
+  uint64_t FilterBitmapHits = 0;
   /// Live chunk bytes of the final flattened solution (the sum of
   /// PointsToSet::liveBytes). A pure function of the computed sets, so it
   /// is identical across engines that agree bit for bit (see
@@ -234,13 +236,13 @@ struct AnalysisOptions {
   /// Ignored: both engines are single-threaded. Kept only because
   /// bench/e2e/src/Pipeline.cpp assigns it.
   unsigned SolverThreads = 0;
-  /// How cs-objects are numbered and cast filters represented
-  /// (pta/SetBackend.h). Both backends compute the same fixpoint
-  /// (enforced by tests/pta/SetRepEquivalenceTest.cpp and the
-  /// bench_preanalysis --set-rep-race); they differ in speed.
-  /// Note: the hierarchy backend pre-interns one cs-object per
-  /// allocation site, so Stats.NumCSObjs counts all sites instead of
-  /// only the discovered ones under it.
+  /// How cs-objects are numbered (pta/SetBackend.h): discovery order, or
+  /// a ranked block in class-hierarchy order whose cast filters are rank
+  /// ranges. Both compute the same fixpoint (enforced by
+  /// tests/pta/SetRepEquivalenceTest.cpp and the bench_preanalysis
+  /// --set-rep-race); they differ in speed. Note: hierarchy numbering
+  /// pre-interns one cs-object per allocation site, so Stats.NumCSObjs
+  /// counts all sites instead of only the discovered ones under it.
   SetRep Rep = SetRep::Chunked;
 };
 

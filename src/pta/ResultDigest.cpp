@@ -6,6 +6,8 @@
 
 #include "pta/ResultDigest.h"
 
+#include "support/Hashing.h"
+
 #include <algorithm>
 
 using namespace mahjong;
@@ -104,13 +106,6 @@ mahjong::pta::canonicalResultLines(const PTAResult &R) {
 }
 
 namespace {
-
-uint64_t splitmix64(uint64_t X) {
-  X += 0x9e3779b97f4a7c15ull;
-  X = (X ^ (X >> 30)) * 0xbf58476d1ce4e5b9ull;
-  X = (X ^ (X >> 27)) * 0x94d049bb133111ebull;
-  return X ^ (X >> 31);
-}
 
 uint64_t mixInt(uint64_t H, uint64_t V) {
   H ^= V;

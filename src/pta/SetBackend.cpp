@@ -1,4 +1,4 @@
-//===-- pta/SetBackend.cpp - Pluggable set-representation backends ----------===//
+//===-- pta/SetBackend.cpp - Cs-object numbering and cast filters -----------===//
 //
 // Part of mahjong-cpp. Distributed under the MIT license.
 //
@@ -17,65 +17,17 @@ using namespace mahjong;
 using namespace mahjong::ir;
 using namespace mahjong::pta;
 
-// Deliberately no pre-interning here: the chunked backend keeps each
-// engine's *discovery order* for cs-object raw ids, because the
-// windowed union leans on it — newly discovered objects get the highest
-// ids, so fresh deltas land in the tail window and unions stay O(window).
-// Pre-interning in program order was tried and destroyed that locality
-// (150x solve-time regressions on profiles whose reachability order
-// diverges from program order). The cost is that chunk *packing* — and
-// with it SetBytes — can differ by a handful of chunks between the naive
-// and wave discovery orders; the hierarchy backend pins numbering
-// outright.
-void SetRepOps::prepare(PTAResult &R) { (void)R; }
+namespace {
 
-void SetRepOps::registerObj(uint32_t CSObjRaw, TypeId T) {
-  if (CSObjRaw >= ObjTypes.size()) {
-    if (CSObjRaw >= ObjTypes.capacity())
-      ObjTypes.reserve(
-          std::max<size_t>(CSObjRaw + 1, ObjTypes.capacity() * 2));
-    ObjTypes.resize(CSObjRaw + 1, TypeId());
-  }
-  ObjTypes[CSObjRaw] = T;
-}
+constexpr uint32_t NoFilter = UINT32_MAX;
 
-//===----------------------------------------------------------------------===//
-// ChunkedOps
-//===----------------------------------------------------------------------===//
-
-void ChunkedOps::registerObj(uint32_t CSObjRaw, TypeId T) {
-  SetRepOps::registerObj(CSObjRaw, T);
-  // Keep every already-materialized filter bitmap current: a cs-object
-  // born after the bitmap was built must still pass future casts.
-  for (auto &[FilterRaw, Objs] : FilterObjs)
-    if (CH.isSubtype(T, TypeId(FilterRaw)))
-      Objs.insert(CSObjRaw);
-}
-
-void ChunkedOps::materializeFilter(TypeId F) {
-  auto [It, Inserted] = FilterObjs.try_emplace(F.idx());
-  if (!Inserted)
-    return;
-  // First cast through this type: sweep the cs-objects seen so far.
-  // registerObj keeps the bitmap current from here on.
-  for (uint32_t Raw = 0; Raw < ObjTypes.size(); ++Raw)
-    if (ObjTypes[Raw].isValid() && CH.isSubtype(ObjTypes[Raw], F))
-      It->second.insert(Raw);
-}
-
-void ChunkedOps::applyFilter(PointsToSet &S, TypeId F) const {
-  auto It = FilterObjs.find(F.idx());
-  assert(It != FilterObjs.end() && "filter bitmap not materialized");
-  S.intersectWith(It->second);
-}
-
-//===----------------------------------------------------------------------===//
-// HierarchyOps
-//===----------------------------------------------------------------------===//
-
-void HierarchyOps::prepare(PTAResult &R) {
+/// Pre-interns every allocation site's context-insensitive cs-object in
+/// class-hierarchy rank order, so the cs-object raw id of (empty ctx,
+/// site) *is* its rank. \returns the number of ranked objects.
+uint32_t preInternRanked(PTAResult &R) {
   assert(R.CSM.numCSObjs() == 0 &&
          "hierarchy renumbering must precede all cs-object interning");
+  const Program &P = R.P;
   const uint32_t NumTypes = P.numTypes();
 
   // Per-type order key. Null type: 0, so o_null ranks first and lands in
@@ -119,76 +71,82 @@ void HierarchyOps::prepare(PTAResult &R) {
     }
   }
 
-  // Rank allocation sites by (type key, site id) — a stable total order —
-  // and pre-intern their context-insensitive cs-objects in that order, so
-  // the cs-object raw id of (empty ctx, site) *is* its rank.
+  // Rank allocation sites by (type key, site id), a stable total order.
   const uint32_t N = P.numObjs();
-  RankToObj.resize(N);
+  std::vector<ObjId> RankToObj(N);
   for (uint32_t O = 0; O < N; ++O)
     RankToObj[O] = ObjId(O);
   std::sort(RankToObj.begin(), RankToObj.end(), [&](ObjId A, ObjId B) {
     uint32_t KA = Key[P.obj(A).Type.idx()], KB = Key[P.obj(B).Type.idx()];
     return KA != KB ? KA < KB : A.idx() < B.idx();
   });
-  TypeOfRank.resize(N);
   for (uint32_t Rank = 0; Rank < N; ++Rank) {
-    TypeOfRank[Rank] = P.obj(RankToObj[Rank]).Type;
     CSObjId Id = R.CSM.csObj(R.Ctxs.empty(), RankToObj[Rank]);
     (void)Id;
     assert(Id.idx() == Rank && "pre-interned cs-object id must equal rank");
   }
-  NumRanked = N;
+  return N;
 }
 
-void HierarchyOps::registerObj(uint32_t CSObjRaw, TypeId T) {
-  SetRepOps::registerObj(CSObjRaw, T);
-  if (CSObjRaw < NumRanked)
-    return; // ranked block: range masks cover it by construction
-  // A context-sensitive heap object born after prepare(): add it to the
-  // overflow bitmap of every filter it passes, mirroring what
-  // ChunkedOps does for its full bitmaps.
-  for (auto &[FilterRaw, Flt] : Filters)
-    if (CH.isSubtype(T, TypeId(FilterRaw)))
-      Flt.Overflow.insert(CSObjRaw);
+} // namespace
+
+SetRepOps::SetRepOps(SetRep Kind, PTAResult &R)
+    : R(R), FilterOf(R.P.numTypes(), NoFilter) {
+  // Deliberately no pre-interning under Chunked: cs-object raw ids then
+  // follow each engine's *discovery order*, and the windowed union leans
+  // on it — newly discovered objects get the highest ids, so fresh
+  // deltas land in the tail window and unions stay O(window).
+  // Pre-interning in program order was tried and destroyed that locality
+  // (150x solve-time regressions on profiles whose reachability order
+  // diverges from program order). The cost is that chunk *packing* — and
+  // with it SetBytes — can differ by a handful of chunks between the
+  // naive and wave discovery orders; rank order pins numbering outright.
+  if (Kind == SetRep::Hierarchy)
+    NumRanked = preInternRanked(R);
 }
 
-void HierarchyOps::materializeFilter(TypeId F) {
-  auto [It, Inserted] = Filters.try_emplace(F.idx());
-  if (!Inserted)
-    return;
-  Filter &Flt = It->second;
+void SetRepOps::addObj(uint32_t CSObjRaw) {
+  assert(CSObjRaw >= NumRanked && "ranked objects are covered by ranges");
+  TypeId T = R.typeOfCSObj(CSObjRaw);
+  for (Filter &Flt : Filters)
+    if (R.CH.isSubtype(T, Flt.Target))
+      Flt.Above.insert(CSObjRaw);
+}
+
+void SetRepOps::filter(PointsToSet &S, TypeId F) {
+  const Filter &Flt = materialize(F);
+  S.intersectWithRanges(Flt.RankRanges, &Flt.Above);
+}
+
+const SetRepOps::Filter &SetRepOps::materialize(TypeId F) {
+  uint32_t &Slot = FilterOf[F.idx()];
+  if (Slot != NoFilter)
+    return Filters[Slot];
+  Slot = static_cast<uint32_t>(Filters.size());
+  Filter &Flt = Filters.emplace_back();
+  Flt.Target = F;
   // Run-length encode the pass verdict over rank space. Exact by
-  // construction — the oracle is the same isSubtype every other filter
-  // mechanism uses — and compact because ranks order types so that every
-  // filter's pass set is a handful of contiguous runs.
+  // construction — the oracle is the same isSubtype the naive engine
+  // applies per element — and compact because ranks order types so that
+  // every filter's pass set is a handful of contiguous runs.
   uint32_t Start = 0;
   bool In = false;
   for (uint32_t Rank = 0; Rank < NumRanked; ++Rank) {
-    bool Pass = CH.isSubtype(TypeOfRank[Rank], F);
+    bool Pass = R.CH.isSubtype(R.typeOfCSObj(Rank), F);
     if (Pass && !In) {
       Start = Rank;
       In = true;
     } else if (!Pass && In) {
-      Flt.Ranges.emplace_back(Start, Rank);
+      Flt.RankRanges.emplace_back(Start, Rank);
       In = false;
     }
   }
   if (In)
-    Flt.Ranges.emplace_back(Start, NumRanked);
-  for (uint32_t Raw = NumRanked; Raw < ObjTypes.size(); ++Raw)
-    if (ObjTypes[Raw].isValid() && CH.isSubtype(ObjTypes[Raw], F))
-      Flt.Overflow.insert(Raw);
-}
-
-void HierarchyOps::applyFilter(PointsToSet &S, TypeId F) const {
-  auto It = Filters.find(F.idx());
-  assert(It != Filters.end() && "filter ranges not materialized");
-  S.intersectWithRanges(It->second.Ranges, &It->second.Overflow);
-}
-
-std::unique_ptr<SetRepOps> mahjong::pta::makeSetRepOps(
-    SetRep Rep, const Program &P, const ClassHierarchy &CH) {
-  if (Rep == SetRep::Hierarchy)
-    return std::make_unique<HierarchyOps>(P, CH);
-  return std::make_unique<ChunkedOps>(P, CH);
+    Flt.RankRanges.emplace_back(Start, NumRanked);
+  // Sweep the cs-objects interned so far above the ranked block; addObj
+  // keeps the bitmap current from here on.
+  for (uint32_t Raw = NumRanked; Raw < R.CSM.numCSObjs(); ++Raw)
+    if (R.CH.isSubtype(R.typeOfCSObj(Raw), F))
+      Flt.Above.insert(Raw);
+  return Flt;
 }

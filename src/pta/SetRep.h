@@ -5,10 +5,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The strategy enum selecting which set-representation backend a run
-/// uses (AnalysisOptions::Rep, CLI --set-rep). Kept dependency-free so
-/// both the options struct and the CLI can name backends without pulling
-/// in the backend implementations (pta/SetBackend.h).
+/// The enum selecting how a run numbers its cs-objects
+/// (AnalysisOptions::Rep, CLI --set-rep). Both numberings share one
+/// filter structure, pta::SetRepOps (pta/SetBackend.h); they differ only
+/// in whether a ranked block is pre-interned. Kept dependency-free so
+/// both the options struct and the CLI can name it without pulling in
+/// SetRepOps.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -20,12 +22,12 @@
 
 namespace mahjong::pta {
 
-/// How cs-objects are numbered and cast filters represented. Both
-/// backends compute bit-identical solutions (pta::ResultDigest; raced by
-/// bench_preanalysis --set-rep-race); they differ in speed.
+/// How cs-objects are numbered. Both compute bit-identical solutions
+/// (pta::ResultDigest; raced by bench_preanalysis --set-rep-race); they
+/// differ in speed.
 enum class SetRep {
-  Chunked,   ///< discovery-order object ids; per-type filter bitmaps
-  Hierarchy, ///< class-hierarchy-ranked object ids; range-mask filters
+  Chunked,   ///< discovery-order ids; a cast filter is all bitmap
+  Hierarchy, ///< ranked ids first; a cast filter is mostly rank ranges
 };
 
 inline const char *setRepName(SetRep Rep) {

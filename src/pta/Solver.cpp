@@ -58,9 +58,8 @@ void Solver::ensureNodeStorage(uint32_t Idx) {
 }
 
 PointsToSet Solver::filtered(const PointsToSet &Set, TypeId Filter) {
-  Ops.materializeFilter(Filter); // idempotent; first call builds lazily
   PointsToSet Result = Set;
-  Ops.applyFilter(Result, Filter);
+  Ops.filter(Result, Filter);
   ++R.Stats.FilterBitmapHits;
   return Result;
 }
@@ -339,8 +338,6 @@ void Solver::sortWave(std::vector<uint32_t> &Wave) const {
 
 bool Solver::run() {
   Timer Clock;
-  // Ensure the null cs-object's type is recorded before any filtering.
-  registerCSObj(CSNullObjRaw, P.nullType());
   addReachable(R.Ctxs.empty(), P.entryMethod());
 
   uint64_t Pops = 0;

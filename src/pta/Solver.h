@@ -28,11 +28,11 @@
 ///    most once per wave no matter how many deltas reach it, where a
 ///    strict priority queue would reprocess a low-order node per delta.
 ///
-///  - **Backend-provided cast filters.** The set-representation backend
-///    (pta/SetBackend.h) turns a cast edge into one set intersection —
-///    against a lazily built per-type bitmap (chunked backend) or a
-///    handful of [lo, hi) rank ranges (hierarchy backend) — instead of a
-///    per-element subtype test.
+///  - **Backend-provided cast filters.** SetRepOps (pta/SetBackend.h)
+///    turns a cast edge into one set intersection, against the target's
+///    [lo, hi) rank ranges plus a bitmap of the passing cs-objects above
+///    the ranked block (all of them under chunked numbering), built on
+///    first use, instead of a per-element subtype test.
 ///
 /// The representative contract: every access to Pts/Pending/Out/Queued
 /// must go through the class representative (rep()); member nodes retain

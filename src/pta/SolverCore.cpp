@@ -37,10 +37,10 @@ SolverCore::SolverCore(const Program &P, const ClassHierarchy &CH,
       }
     }
   }
-  // The context-insensitive null object exists in every run. (Under the
-  // hierarchy backend its cs-object was already pre-interned at rank 0 by
-  // SetRepOps::prepare, so this lookup is a hit, not a new id.) Its type
-  // is registered at the start of run().
+  // The context-insensitive null object exists in every run. Under
+  // SetRep::Hierarchy the SetRepOps constructor already pre-interned it at
+  // rank 0, so this lookup is a hit, not a new id. No filter exists yet,
+  // so the filters need no notice: each sweeps it when it materializes.
   CSNullObjRaw = R.CSM.csObj(R.Ctxs.empty(), Program::nullObj()).idx();
 }
 
@@ -199,8 +199,10 @@ void SolverCore::expandMethod(ContextId C, MethodId M) {
       ObjId Rep = Heap.repr(S.Obj);
       ContextId HCtx = Heap.isMerged(Rep) ? R.Ctxs.empty()
                                           : Selector.selectHeap(C, Rep);
+      uint32_t Known = R.CSM.numCSObjs();
       CSObjId O = R.CSM.csObj(HCtx, Rep);
-      registerCSObj(O.idx(), P.obj(Rep).Type);
+      if (O.idx() >= Known)
+        Ops.addObj(O.idx()); // new: the materialized filters must see it
       PointsToSet Single;
       Single.insert(O.idx());
       seedDelta(varNode(C, S.To), std::move(Single));

@@ -62,13 +62,6 @@ protected:
   /// receiver binding.
   virtual void seedDelta(PtrNodeId N, PointsToSet &&Delta) = 0;
 
-  /// Records a newly interned cs-object and its dynamic type with the
-  /// set-representation backend, which keeps its filter structures
-  /// (bitmaps or range overflows) current.
-  void registerCSObj(uint32_t CSObjRaw, TypeId T) {
-    Ops.registerObj(CSObjRaw, T);
-  }
-
   // --- Shared services ---
 
   PtrNodeId node(uint64_t Key);
@@ -108,7 +101,7 @@ protected:
   const ir::ClassHierarchy &CH;
   const HeapAbstraction &Heap;
   ContextSelector &Selector;
-  SetRepOps &Ops; ///< set-representation strategy (numbering, filters)
+  SetRepOps &Ops; ///< cs-object numbering and cast filters
   PTAResult &R;
   double TimeBudget;
 

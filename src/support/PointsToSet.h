@@ -21,7 +21,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <concepts>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -184,11 +183,13 @@ public:
 
   /// Restricts this set to elements inside one of the half-open \p Ranges
   /// ([lo, hi) pairs, sorted and disjoint) or contained in \p Overflow
-  /// (may be null). The hierarchy backend's filter primitive: when object
-  /// ids are ranked in class-hierarchy order, a cast filter is a handful
-  /// of ranges plus a small bitmap of late (context-sensitive) objects —
-  /// nothing type-wide is ever materialized. Cost: one pass over this
-  /// set's chunks with merge-join cursors into Ranges and Overflow.
+  /// (may be null). The cast-filter primitive of pta::SetRepOps: when
+  /// object ids are ranked in class-hierarchy order, a filter is a handful
+  /// of ranges plus a small bitmap of late (context-sensitive) objects;
+  /// with nothing ranked, it is no ranges and one bitmap, and this is
+  /// intersectWith(*Overflow). Cost: one pass over this set's chunks with
+  /// merge-join cursors into Ranges and Overflow, stopping once both
+  /// cursors are exhausted.
   void
   intersectWithRanges(const std::vector<std::pair<uint32_t, uint32_t>> &Ranges,
                       const PointsToSet *Overflow = nullptr) {
@@ -196,12 +197,17 @@ public:
       return;
     const std::vector<Chunk> *OC =
         Overflow && !Overflow->empty() ? &Overflow->Chunks : nullptr;
+    const size_t NumOC = OC ? OC->size() : 0;
     size_t Kept = 0, NewCount = 0, RI = 0, OI = 0;
     for (const Chunk &C : Chunks) {
       uint64_t Base = uint64_t(C.Index) << 6;
-      uint64_t Mask = 0;
       while (RI < Ranges.size() && Ranges[RI].second <= Base)
         ++RI;
+      while (OI < NumOC && (*OC)[OI].Index < C.Index)
+        ++OI;
+      if (RI == Ranges.size() && OI == NumOC)
+        break; // nothing at or above this chunk can pass
+      uint64_t Mask = 0;
       for (size_t K = RI;
            K < Ranges.size() && Ranges[K].first < Base + 64; ++K) {
         uint64_t LoBit = std::max<uint64_t>(Ranges[K].first, Base) - Base;
@@ -209,12 +215,8 @@ public:
                        (Base + LoBit);
         Mask |= (Len >= 64 ? ~0ull : ((1ull << Len) - 1)) << LoBit;
       }
-      if (OC) {
-        while (OI < OC->size() && (*OC)[OI].Index < C.Index)
-          ++OI;
-        if (OI < OC->size() && (*OC)[OI].Index == C.Index)
-          Mask |= (*OC)[OI].Word;
-      }
+      if (OI < NumOC && (*OC)[OI].Index == C.Index)
+        Mask |= (*OC)[OI].Word;
       uint64_t Word = C.Word & Mask;
       if (Word) {
         Chunks[Kept++] = {C.Index, Word};
@@ -366,30 +368,6 @@ private:
   std::vector<Chunk> Chunks;
   size_t Count = 0;
 };
-
-/// The narrow interface the solver engines require of a points-to set
-/// representation (the strategy seam of pta/SetBackend.h). Any type
-/// satisfying this concept can serve as the engines' set value type;
-/// PointsToSet is the one shipped implementation, checked below so the
-/// contract cannot silently drift.
-template <typename S>
-concept PointsToSetRep =
-    std::default_initializable<S> && requires(S Set, const S Const,
-                                              uint32_t Elem) {
-      { Set.insert(Elem) } -> std::convertible_to<bool>;
-      { Const.contains(Elem) } -> std::convertible_to<bool>;
-      { Set.unionWith(Const) } -> std::convertible_to<bool>;
-      { Const.differenceFrom(Const) } -> std::same_as<S>;
-      { Set.intersectWith(Const) };
-      { Const.begin() } -> std::input_iterator;
-      { Const.end() } -> std::input_iterator;
-      { Const.empty() } -> std::convertible_to<bool>;
-      { Const.size() } -> std::convertible_to<size_t>;
-      { Const.liveBytes() } -> std::convertible_to<size_t>;
-    };
-
-static_assert(PointsToSetRep<PointsToSet>,
-              "PointsToSet must satisfy the solver's set-backend concept");
 
 } // namespace mahjong
 

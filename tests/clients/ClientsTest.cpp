@@ -156,7 +156,7 @@ TEST(Clients, VirtualTargetsHelper) {
   // The call site is the only one in main.
   std::vector<CallSiteId> Sites = A.R->CG.callSitesWithEdges();
   ASSERT_EQ(Sites.size(), 1u);
-  EXPECT_EQ(virtualTargets(*A.R, Sites[0]).size(), 2u);
+  EXPECT_EQ(A.R->CG.calleesOf(Sites[0]).size(), 2u);
 }
 
 TEST(Clients, ToStringMentionsAllMetrics) {

@@ -4,13 +4,13 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Properties of the hierarchy backend's renumbering pre-pass: allocation
-// sites rank in class-hierarchy DFS order (null first, every subtree
-// contiguous, arrays after classes), cast filters collapse to a handful
-// of [lo, hi) rank ranges whose pass set matches the semantic isSubtype
-// verdict element for element, and context-sensitive objects interned
-// after the ranked block ride in the per-filter overflow bitmap — both
-// when they appear before and after the filter materializes.
+// Properties of hierarchy numbering (SetRepOps under SetRep::Hierarchy):
+// allocation sites rank in class-hierarchy DFS order (null first, every
+// subtree contiguous, arrays after classes), cast filters collapse to a
+// handful of [lo, hi) rank ranges whose pass set matches the semantic
+// isSubtype verdict element for element, and context-sensitive objects
+// interned after the ranked block ride in the per-filter bitmap above
+// it — both when they appear before and after the filter materializes.
 //
 //===----------------------------------------------------------------------===//
 
@@ -51,12 +51,12 @@ constexpr const char *DiamondFreeSource = R"(
   }
 )";
 
-/// prepare() wants a virgin PTAResult (no cs-objects interned yet).
+/// SetRepOps wants a virgin PTAResult (no cs-objects interned yet).
 struct Prepared {
   std::unique_ptr<ir::Program> P;
   std::unique_ptr<ClassHierarchy> CH;
   std::unique_ptr<PTAResult> R;
-  std::unique_ptr<HierarchyOps> Ops;
+  std::unique_ptr<SetRepOps> Ops;
 };
 
 Prepared prepareHierarchy(std::string_view Src) {
@@ -64,8 +64,7 @@ Prepared prepareHierarchy(std::string_view Src) {
   H.P = parseOrDie(Src);
   H.CH = std::make_unique<ClassHierarchy>(*H.P);
   H.R = std::make_unique<PTAResult>(*H.P, *H.CH);
-  H.Ops = std::make_unique<HierarchyOps>(*H.P, *H.CH);
-  H.Ops->prepare(*H.R);
+  H.Ops = std::make_unique<SetRepOps>(SetRep::Hierarchy, *H.R);
   return H;
 }
 
@@ -74,16 +73,16 @@ Prepared prepareProfile(const std::string &Name, double Scale) {
   H.P = workload::buildBenchmarkProgram(Name, Scale);
   H.CH = std::make_unique<ClassHierarchy>(*H.P);
   H.R = std::make_unique<PTAResult>(*H.P, *H.CH);
-  H.Ops = std::make_unique<HierarchyOps>(*H.P, *H.CH);
-  H.Ops->prepare(*H.R);
+  H.Ops = std::make_unique<SetRepOps>(SetRep::Hierarchy, *H.R);
   return H;
 }
 
-/// Registers every ranked site with its dynamic type, as a solver
-/// discovering all of them would.
-void registerRanked(Prepared &H) {
-  for (uint32_t Rank = 0; Rank < H.Ops->numRanked(); ++Rank)
-    H.Ops->registerObj(Rank, H.P->obj(H.Ops->objAtRank(Rank)).Type);
+/// The first allocation site of type \p T.
+ObjId siteOfType(const ir::Program &P, TypeId T) {
+  for (uint32_t O = 0; O < P.numObjs(); ++O)
+    if (P.obj(ObjId(O)).Type == T)
+      return ObjId(O);
+  return ObjId();
 }
 
 } // namespace
@@ -95,25 +94,24 @@ TEST(HierarchyOrder, RanksAreAPermutationWithNullFirst) {
   // Every allocation site appears exactly once.
   std::vector<bool> Seen(N, false);
   for (uint32_t Rank = 0; Rank < N; ++Rank) {
-    ObjId O = H.Ops->objAtRank(Rank);
+    ObjId O = H.R->baseObjOf(Rank);
     ASSERT_LT(O.idx(), N);
     EXPECT_FALSE(Seen[O.idx()]) << "rank " << Rank;
     Seen[O.idx()] = true;
   }
   // The null object ranks first (its type key is 0; null passes every
   // cast, so it must land in every filter's leading range).
-  EXPECT_EQ(H.P->obj(H.Ops->objAtRank(0)).Type, H.P->nullType());
+  EXPECT_EQ(H.P->obj(H.R->baseObjOf(0)).Type, H.P->nullType());
   // Pre-interning made rank == cs-object raw id.
   EXPECT_EQ(H.R->CSM.numCSObjs(), N);
 }
 
 TEST(HierarchyOrder, SubtreesAreContiguousAndFiltersAreFewRanges) {
   Prepared H = prepareHierarchy(DiamondFreeSource);
-  registerRanked(H);
   // Objects of one type occupy contiguous ranks.
   std::map<uint32_t, std::vector<uint32_t>> RanksByType;
   for (uint32_t Rank = 0; Rank < H.Ops->numRanked(); ++Rank)
-    RanksByType[H.P->obj(H.Ops->objAtRank(Rank)).Type.idx()].push_back(Rank);
+    RanksByType[H.P->obj(H.R->baseObjOf(Rank)).Type.idx()].push_back(Rank);
   for (const auto &[T, Ranks] : RanksByType)
     for (size_t I = 1; I < Ranks.size(); ++I)
       EXPECT_EQ(Ranks[I], Ranks[I - 1] + 1)
@@ -122,7 +120,6 @@ TEST(HierarchyOrder, SubtreesAreContiguousAndFiltersAreFewRanges) {
   // the DFS keyed contiguously — at most two ranges.
   TypeId B = H.P->typeByName("B");
   ASSERT_TRUE(B.isValid());
-  H.Ops->materializeFilter(B);
   const auto &Ranges = H.Ops->rangesOf(B);
   EXPECT_LE(Ranges.size(), 2u) << "null + one contiguous subtree run";
   // And its pass set is exactly the semantic one.
@@ -130,10 +127,10 @@ TEST(HierarchyOrder, SubtreesAreContiguousAndFiltersAreFewRanges) {
   for (uint32_t Rank = 0; Rank < H.Ops->numRanked(); ++Rank)
     All.insert(Rank);
   PointsToSet Filtered = All;
-  H.Ops->applyFilter(Filtered, B);
+  H.Ops->filter(Filtered, B);
   for (uint32_t Rank = 0; Rank < H.Ops->numRanked(); ++Rank)
     EXPECT_EQ(Filtered.contains(Rank),
-              H.CH->isSubtype(H.P->obj(H.Ops->objAtRank(Rank)).Type, B))
+              H.CH->isSubtype(H.P->obj(H.R->baseObjOf(Rank)).Type, B))
         << "rank " << Rank;
 }
 
@@ -142,7 +139,6 @@ TEST(HierarchyOrder, RangeFiltersMatchSemanticsOnRealHierarchies) {
   // range filter, applied to random rank sets, matches the per-element
   // isSubtype oracle (the same filtering NaiveSolver performs).
   Prepared H = prepareProfile("luindex", 0.05);
-  registerRanked(H);
   std::mt19937 Rng(11);
   const uint32_t N = H.Ops->numRanked();
   uint32_t ClassTypes = 0;
@@ -151,7 +147,6 @@ TEST(HierarchyOrder, RangeFiltersMatchSemanticsOnRealHierarchies) {
     if (H.P->type(F).Kind != TypeKind::Class)
       continue;
     ++ClassTypes;
-    H.Ops->materializeFilter(F);
     // Ranges are sorted, disjoint, in-bounds.
     const auto &Ranges = H.Ops->rangesOf(F);
     for (size_t I = 0; I < Ranges.size(); ++I) {
@@ -165,10 +160,10 @@ TEST(HierarchyOrder, RangeFiltersMatchSemanticsOnRealHierarchies) {
     for (int Draw = 0; Draw < 200; ++Draw)
       S.insert(Rng() % N);
     PointsToSet Got = S;
-    H.Ops->applyFilter(Got, F);
+    H.Ops->filter(Got, F);
     PointsToSet Want;
     for (uint32_t Rank : S)
-      if (H.CH->isSubtype(H.P->obj(H.Ops->objAtRank(Rank)).Type, F))
+      if (H.CH->isSubtype(H.P->obj(H.R->baseObjOf(Rank)).Type, F))
         Want.insert(Rank);
     EXPECT_TRUE(Got == Want) << "filter " << H.P->type(F).Name;
   }
@@ -177,39 +172,46 @@ TEST(HierarchyOrder, RangeFiltersMatchSemanticsOnRealHierarchies) {
 
 TEST(HierarchyOrder, OverflowCarriesLateContextSensitiveObjects) {
   Prepared H = prepareHierarchy(DiamondFreeSource);
-  registerRanked(H);
   TypeId A = H.P->typeByName("A");
   TypeId D = H.P->typeByName("D");
   ASSERT_TRUE(A.isValid() && D.isValid());
   const uint32_t N = H.Ops->numRanked();
 
-  // One cs-object registered BEFORE the filter materializes (the sweep
-  // path) and one after (the registerObj path); a D-typed one must stay
-  // out either way.
-  H.Ops->registerObj(N + 0, H.P->typeByName("C"));
-  H.Ops->materializeFilter(A);
-  H.Ops->registerObj(N + 1, A);
-  H.Ops->registerObj(N + 2, D);
+  // Context-sensitive cs-objects: a site under a fresh heap context,
+  // interned and announced as the solver does.
+  auto Late = [&](TypeId T, CtxElem Ctx) {
+    ContextId HCtx = H.R->Ctxs.push(H.R->Ctxs.empty(), Ctx, 1);
+    CSObjId O = H.R->CSM.csObj(HCtx, siteOfType(*H.P, T));
+    H.Ops->addObj(O.idx());
+    return O.idx();
+  };
+  // One cs-object interned BEFORE the filter materializes (the sweep
+  // path) and one after (the addObj path); a D-typed one must stay out
+  // either way.
+  ASSERT_EQ(Late(H.P->typeByName("C"), 1), N + 0);
+  H.Ops->rangesOf(A); // materializes A's filter
+  ASSERT_EQ(Late(A, 2), N + 1);
+  ASSERT_EQ(Late(D, 3), N + 2);
 
   PointsToSet S;
   for (uint32_t Raw : {N + 0, N + 1, N + 2})
     S.insert(Raw);
   S.insert(0); // null passes
   PointsToSet Got = S;
-  H.Ops->applyFilter(Got, A);
-  EXPECT_TRUE(Got.contains(N + 0)) << "swept into overflow at materialize";
-  EXPECT_TRUE(Got.contains(N + 1)) << "added to overflow at registerObj";
+  H.Ops->filter(Got, A);
+  EXPECT_TRUE(Got.contains(N + 0)) << "swept into the bitmap at materialize";
+  EXPECT_TRUE(Got.contains(N + 1)) << "added to the bitmap at addObj";
   EXPECT_FALSE(Got.contains(N + 2)) << "D is not a subtype of A";
   EXPECT_TRUE(Got.contains(0)) << "null passes every cast";
-  // typeOf serves the naive engine's semantic filter for late objects.
-  EXPECT_EQ(H.Ops->typeOf(N + 2), D);
-  EXPECT_FALSE(H.Ops->typeOf(N + 50).isValid());
+  // typeOfCSObj serves the naive engine's per-element filter for late
+  // objects, and only the three late objects exist above the block.
+  EXPECT_EQ(H.R->typeOfCSObj(N + 2), D);
+  EXPECT_EQ(H.R->CSM.numCSObjs(), N + 3);
 }
 
 TEST(HierarchyOrder, ContextSensitiveAnalysisMatchesChunkedDigest) {
-  // End to end under 2obj: the hierarchy backend's overflow machinery
-  // (cs-objects interned beyond the ranked block) must reproduce the
-  // chunked reference bit for bit.
+  // End to end under 2obj: the bitmaps above the ranked block (cs-objects
+  // interned beyond it) must reproduce chunked numbering bit for bit.
   auto P = workload::buildBenchmarkProgram("antlr", 0.03);
   ClassHierarchy CH(*P);
   uint64_t Digest[2] = {0, 0};
@@ -226,7 +228,7 @@ TEST(HierarchyOrder, ContextSensitiveAnalysisMatchesChunkedDigest) {
   EXPECT_EQ(Digest[0], Digest[1]);
   // The hierarchy run pre-interns every site, so it sees at least as many
   // cs-objects — and under 2obj strictly more objects total than sites,
-  // proving the overflow path actually ran.
+  // proving the path above the ranked block actually ran.
   EXPECT_GE(RankedObjs[1], RankedObjs[0]);
   EXPECT_GT(RankedObjs[0], P->numObjs())
       << "2obj must allocate context-sensitive heap objects";

@@ -155,3 +155,46 @@ TEST(SetRepEquivalence, CastHeavyProgramFiltersIdentically) {
           << Label;
     }
 }
+
+TEST(SetRepEquivalence, FilterBuiltBeforeAContextSensitiveObjectAdmitsIt) {
+  // The receiver of c.make() only arrives through the (Box) cast, so the
+  // wave engine builds Box's filter before make() runs. Each make() then
+  // allocates a Box under a heap context that did not exist when the
+  // filter was built, and that object flows back through the same cast.
+  // The filter must admit it, as the naive engine's per-element check
+  // does: under 2obj, c must reach all three cs-objects of type Box.
+  constexpr const char *Src = R"(
+    class Box {
+      method make() {
+        o = new Box;
+        return o;
+      }
+    }
+    class Main {
+      static method main() {
+        b = new Box;
+        x = b;
+        c = (Box) x;
+        y = c.make();
+        x = y;
+      }
+    }
+  )";
+  auto P = parseOrDie(Src);
+  ir::ClassHierarchy CH(*P);
+  VarId C = findVar(*P, "Main.main/0", "c");
+  for (SetRep Rep : Reps) {
+    uint64_t Digest[2] = {0, 0};
+    for (int I = 0; I < 2; ++I) {
+      SolverEngine E = EnginesUnderTest[I];
+      auto R = run(*P, CH, E, Rep, ContextKind::Object, 2);
+      std::string Label = std::string(solverEngineName(E)) + "/" +
+                          setRepName(Rep);
+      Digest[I] = canonicalResultDigest(*R);
+      const PointsToSet *CPts = R->varPts(R->Ctxs.empty(), C);
+      ASSERT_NE(CPts, nullptr) << Label;
+      EXPECT_EQ(CPts->size(), 3u) << Label;
+    }
+    EXPECT_EQ(Digest[0], Digest[1]) << setRepName(Rep);
+  }
+}

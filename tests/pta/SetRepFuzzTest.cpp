@@ -5,18 +5,19 @@
 //===----------------------------------------------------------------------===//
 //
 // Differential fuzzing of the set operations the solvers run, under each
-// set-representation backend: seeded random operation sequences over a
-// pool of sets — unions, differences, intersections and the backend's
-// cast filter (materializeFilter/applyFilter) — checked element-for-
-// element against std::set<uint32_t> oracles after every step. The
-// element distribution deliberately clusters around chunk boundaries
-// (63/64/65, 127/128) and spreads sparsely so unions hit all three
-// internal paths: the beyond-the-end append, the in-chunk OR, and the
-// backward merge with new interior chunks. Every element is registered
-// as a cs-object the first time it is drawn, so filters see objects born
-// both before and after they materialize; under the hierarchy backend
-// the low ids are its ranked block and the rest ride in the per-filter
-// overflow bitmap.
+// cs-object numbering: seeded random operation sequences over a pool of
+// sets — unions, differences, intersections and SetRepOps::filter, the
+// cast filter — checked element-for-element against std::set<uint32_t>
+// oracles after every step. The element distribution deliberately
+// clusters around chunk boundaries (63/64/65, 127/128) and spreads
+// sparsely so unions hit all three internal paths: the beyond-the-end
+// append, the in-chunk OR, and the backward merge with new interior
+// chunks. Every element is a real cs-object: the first draw of an id
+// interns cs-objects of random sites under fresh heap contexts until the
+// id exists, telling the filters as the solver does, so filters see
+// objects born both before and after they materialize. Under hierarchy
+// numbering the low ids are its ranked block and the rest ride in the
+// per-filter bitmap above it.
 //
 //===----------------------------------------------------------------------===//
 
@@ -82,28 +83,34 @@ TEST_P(SetRepFuzz, MatchesStdSetOracle) {
   auto P = parseOrDie(TinyProgram);
   ir::ClassHierarchy CH(*P);
   PTAResult R(*P, CH);
-  std::unique_ptr<SetRepOps> Ops = makeSetRepOps(Backend.Rep, *P, CH);
-  Ops->prepare(R); // hierarchy: interns the ranked block, ids 0..sites-1
+  SetRepOps Ops(Backend.Rep, R); // hierarchy: ranked block, ids 0..sites-1
   std::vector<TypeId> Classes;
   for (uint32_t T = 0; T < P->numTypes(); ++T)
     if (P->type(TypeId(T)).Kind == ir::TypeKind::Class)
       Classes.push_back(TypeId(T));
+  std::vector<ObjId> Sites; // the class-typed allocation sites
+  for (uint32_t O = 0; O < P->numObjs(); ++O)
+    if (P->type(P->obj(ObjId(O)).Type).Kind == ir::TypeKind::Class)
+      Sites.push_back(ObjId(O));
 
   std::mt19937 Rng(Seed);
+  // Sites come from their own stream, so the operation and element draws
+  // do not depend on how many cs-objects an id had to intern.
+  std::mt19937 SiteRng(Seed);
   constexpr size_t Slots = 8;
   PointsToSet Sets[Slots];
   std::set<uint32_t> Refs[Slots];
 
-  // Pre-interned cs-objects keep their site's type (the ranges cover
-  // them by rank); every other id gets a random class, as a discovered
-  // context-sensitive object would.
+  // Pre-interned cs-objects keep their site (the ranges cover them by
+  // rank); every other id is a random site under a fresh heap context,
+  // as a discovered context-sensitive object would be.
+  CtxElem NextCtx = 0;
   auto Register = [&](uint32_t E) {
-    if (Ops->typeOf(E).isValid())
-      return;
-    TypeId T = E < R.CSM.numCSObjs()
-                   ? P->obj(R.CSM.objOf(CSObjId(E)).second).Type
-                   : Classes[Rng() % Classes.size()];
-    Ops->registerObj(E, T);
+    while (R.CSM.numCSObjs() <= E) {
+      ContextId HCtx = R.Ctxs.push(R.Ctxs.empty(), ++NextCtx, 1);
+      CSObjId O = R.CSM.csObj(HCtx, Sites[SiteRng() % Sites.size()]);
+      Ops.addObj(O.idx());
+    }
   };
   auto RandomElem = [&]() -> uint32_t {
     uint32_t E;
@@ -152,14 +159,13 @@ TEST_P(SetRepFuzz, MatchesStdSetOracle) {
       Check(J, "union src (must not mutate)", Op);
       break;
     }
-    case 2: { // the backend's cast filter
+    case 2: { // the cast filter, built on its first use
       TypeId F = Classes[Rng() % Classes.size()];
-      Ops->materializeFilter(F); // idempotent
-      Ops->applyFilter(Sets[I], F);
+      Ops.filter(Sets[I], F);
       for (auto It = Refs[I].begin(); It != Refs[I].end();)
-        It = CH.isSubtype(Ops->typeOf(*It), F) ? std::next(It)
-                                               : Refs[I].erase(It);
-      Check(I, "applyFilter", Op);
+        It = CH.isSubtype(R.typeOfCSObj(*It), F) ? std::next(It)
+                                                 : Refs[I].erase(It);
+      Check(I, "filter", Op);
       break;
     }
     case 3: { // union of a fresh delta, sometimes empty

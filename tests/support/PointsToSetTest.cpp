@@ -298,6 +298,36 @@ TEST(PointsToSet, IntersectWithRangesMatchesIntersectWith) {
   }
 }
 
+TEST(PointsToSet, IntersectWithRangesStopsPastBothCursors) {
+  // The filter with nothing ranked is no ranges and one bitmap: it must
+  // equal intersectWith(bitmap), including the tail past the bitmap's
+  // last chunk that the early exit skips. With ranges too, the set's
+  // tail lies past whichever cursor ends last, in either order.
+  std::mt19937 Rng(23);
+  for (int Trial = 0; Trial < 30; ++Trial) {
+    PointsToSet S, Bitmap;
+    for (int I = 0; I < 300; ++I)
+      S.insert(Rng() % 20000);
+    const uint32_t BitmapEnd = 1 + Rng() % 12000;
+    for (int I = 0; I < 100; ++I)
+      Bitmap.insert(Rng() % BitmapEnd);
+    PointsToSet ViaRanges = S, ViaBitmap = S;
+    ViaRanges.intersectWithRanges({}, &Bitmap);
+    ViaBitmap.intersectWith(Bitmap);
+    EXPECT_TRUE(ViaRanges == ViaBitmap) << "trial " << Trial;
+    EXPECT_EQ(ViaRanges.size(), ViaBitmap.size()) << "trial " << Trial;
+
+    const uint32_t Lo = Rng() % 15000, Hi = Lo + 1 + Rng() % 3000;
+    PointsToSet Both = S, Want;
+    Both.intersectWithRanges({{Lo, Hi}}, &Bitmap);
+    for (uint32_t E : S)
+      if ((E >= Lo && E < Hi) || Bitmap.contains(E))
+        Want.insert(E);
+    EXPECT_TRUE(Both == Want) << "trial " << Trial;
+    EXPECT_EQ(Both.size(), Want.size()) << "trial " << Trial;
+  }
+}
+
 /// Property: a random operation sequence matches std::set semantics.
 class PointsToSetRandomTest : public ::testing::TestWithParam<unsigned> {};
 
