@@ -357,9 +357,14 @@ int cmdAnalyze(int Argc, const char *const *Argv, std::ostream &Out,
   std::string EngineShown =
       SolverKind == "auto" ? "auto:" + R->EngineName : SolverKind;
   Out << "  solver (" << EngineShown << "):     " << R->Stats.WorklistPops
-      << " pops, " << R->Stats.SCCsCollapsed << " SCCs collapsed ("
-      << R->Stats.NodesCollapsed << " nodes), " << R->Stats.FilterBitmapHits
-      << " filter bitmap hits\n";
+      << " pops";
+  // SCC collapse and the filter bitmaps belong to the wave engine; the
+  // naive engine has neither, so its counters would only ever read 0.
+  if (R->EngineName == "wave")
+    Out << ", " << R->Stats.SCCsCollapsed << " SCCs collapsed ("
+        << R->Stats.NodesCollapsed << " nodes), "
+        << R->Stats.FilterBitmapHits << " filter bitmap hits";
+  Out << "\n";
   Out << "  set rep (" << R->SetRepName << "): " << R->Stats.SetBytes
       << " set bytes\n";
   if (!FactsDir.empty()) {

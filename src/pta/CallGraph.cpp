@@ -11,16 +11,15 @@
 using namespace mahjong;
 using namespace mahjong::pta;
 
-bool CallGraph::addEdge(ContextId CallerCtx, CallSiteId Site,
-                        CSMethodId CSCallee, MethodId Callee) {
-  uint64_t CSSiteKey =
-      (static_cast<uint64_t>(CallerCtx.idx()) << 32) | Site.idx();
-  uint32_t SiteId = CSSites.intern(CSSiteKey).idx();
-  if (!CSEdges.insert((static_cast<uint64_t>(SiteId) << 32) | CSCallee.idx()))
+bool CallGraph::addEdge(CSSiteId CSSite, CSMethodId CSCallee,
+                        MethodId Callee) {
+  if (!CSEdges.insert((static_cast<uint64_t>(CSSite.idx()) << 32) |
+                      CSCallee.idx()))
     return false;
-  uint64_t CIKey = (static_cast<uint64_t>(Site.idx()) << 32) | Callee.idx();
+  uint32_t Site = static_cast<uint32_t>(CSSites.get(CSSite));
+  uint64_t CIKey = (static_cast<uint64_t>(Site) << 32) | Callee.idx();
   if (CIEdges.insert(CIKey))
-    SiteTargets[Site.idx()].push_back(Callee);
+    SiteTargets[Site].push_back(Callee);
   return true;
 }
 

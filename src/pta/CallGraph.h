@@ -18,20 +18,30 @@
 #include "ir/Program.h"
 #include "pta/Context.h"
 #include "support/FlatHash.h"
+#include "support/Interner.h"
 
 #include <unordered_map>
 #include <vector>
 
 namespace mahjong::pta {
 
+/// A context-sensitive call site: a (caller context, call site) pair.
+using CSSiteId = Id<struct CSSiteTag>;
+
 /// Context-sensitive call graph with CI projections.
 class CallGraph {
 public:
-  /// Records the edge (CallerCtx, Site) -> \p CSCallee, the cs-method
-  /// (callee context, \p Callee) as interned by the solver's CSManager.
+  /// Interns the cs call site (\p CallerCtx, \p Site). The solver interns
+  /// it once per receiver delta, not once per edge it adds there.
+  CSSiteId csSite(ContextId CallerCtx, CallSiteId Site) {
+    return CSSites.intern((static_cast<uint64_t>(CallerCtx.idx()) << 32) |
+                          Site.idx());
+  }
+
+  /// Records the edge \p CSSite -> \p CSCallee, the cs-method (callee
+  /// context, \p Callee) as interned by the solver's CSManager.
   /// \returns true if the context-sensitive edge is new.
-  bool addEdge(ContextId CallerCtx, CallSiteId Site, CSMethodId CSCallee,
-               MethodId Callee);
+  bool addEdge(CSSiteId CSSite, CSMethodId CSCallee, MethodId Callee);
 
   /// Number of distinct context-sensitive edges.
   uint64_t numCSEdges() const { return CSEdges.size(); }
@@ -51,7 +61,7 @@ private:
   FlatMap64 CIEdges; ///< packed (site, method)
   std::unordered_map<uint32_t, std::vector<MethodId>> SiteTargets;
   /// (caller context, site) interning, for the 64-bit cs edge key.
-  Interner<Id<struct CSSiteTag>, uint64_t> CSSites;
+  Interner<CSSiteId, uint64_t> CSSites;
 };
 
 } // namespace mahjong::pta

@@ -6,29 +6,65 @@
 
 #include "pta/Context.h"
 
+#include <algorithm>
+
 using namespace mahjong;
 using namespace mahjong::pta;
 
-ContextTable::ContextTable() {
-  ContextId Empty = Table.intern({});
-  (void)Empty;
-  assert(Empty.idx() == 0 && "empty context must be id 0");
+ContextTable::ContextTable() : NodeCtx{0}, CtxNode{0}, Elems(1) {
+  // Trie node 0, the root, is the empty context, id 0.
+}
+
+uint32_t ContextTable::child(uint32_t Node, CtxElem Elem) {
+  uint64_t Key = (static_cast<uint64_t>(Node) << 32) | Elem;
+  auto [Child, Inserted] =
+      Children.tryEmplace(Key, static_cast<uint32_t>(NodeCtx.size()));
+  if (Inserted)
+    NodeCtx.push_back(NoContext);
+  return Child;
+}
+
+uint32_t ContextTable::descend(const CtxElem *First, const CtxElem *Last) {
+  uint32_t Node = 0;
+  for (; First != Last; ++First)
+    Node = child(Node, *First);
+  return Node;
+}
+
+template <typename MakeElems>
+ContextId ContextTable::contextAt(uint32_t Node, MakeElems Make) {
+  if (NodeCtx[Node] != NoContext)
+    return ContextId(NodeCtx[Node]);
+  std::vector<CtxElem> New = Make();
+  uint32_t Id = size();
+  NodeCtx[Node] = Id;
+  CtxNode.push_back(Node);
+  Elems.push_back(std::move(New));
+  return ContextId(Id);
 }
 
 ContextId ContextTable::push(ContextId Base, CtxElem Elem, unsigned Limit) {
   if (Limit == 0)
     return empty();
-  std::vector<CtxElem> Elems = Table.get(Base);
-  Elems.push_back(Elem);
-  if (Elems.size() > Limit)
-    Elems.erase(Elems.begin(), Elems.end() - Limit);
-  return Table.intern(Elems);
+  const std::vector<CtxElem> &B = elems(Base);
+  // Keep the newest Limit - 1 elements of Base, then Elem. When all of
+  // Base is kept, its own trie node is the prefix: one probe in all.
+  size_t Keep = std::min<size_t>(B.size(), Limit - 1);
+  const CtxElem *First = B.data() + (B.size() - Keep), *Last = First + Keep;
+  uint32_t Prefix =
+      Keep == B.size() ? CtxNode[Base.idx()] : descend(First, Last);
+  return contextAt(child(Prefix, Elem), [&] {
+    std::vector<CtxElem> New(First, Last);
+    New.push_back(Elem);
+    return New;
+  });
 }
 
 ContextId ContextTable::truncate(ContextId C, unsigned Limit) {
-  const std::vector<CtxElem> &Elems = Table.get(C);
-  if (Elems.size() <= Limit)
+  const std::vector<CtxElem> &E = elems(C);
+  if (E.size() <= Limit)
     return C;
-  std::vector<CtxElem> Cut(Elems.end() - Limit, Elems.end());
-  return Table.intern(Cut);
+  const CtxElem *Last = E.data() + E.size(), *First = Last - Limit;
+  return contextAt(descend(First, Last),
+                   [&] { return std::vector<CtxElem>(First, Last); });
 }

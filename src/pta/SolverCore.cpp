@@ -114,22 +114,20 @@ void SolverCore::processCallsOnDelta(ContextId C, CallSiteId Site,
   }
   // Phase 2: one this-binding, call-graph edge and arg/ret wiring per
   // group. Every receiver of the group must flow into 'this' even when
-  // the call-graph edge already existed.
+  // the call-graph edge already existed. The cs call site and the
+  // caller-side nodes are the same for every group, so they are fetched
+  // once for the whole delta.
+  if (BindGroups.empty())
+    return;
   const CallSiteInfo &CS = P.callSite(Site);
+  CSSiteId CSSite = R.CG.csSite(C, Site);
+  CallerNodes Caller;
   for (BindGroup &G : BindGroups) {
-    const MethodInfo &CalleeInfo = P.method(G.Callee);
-    seedDelta(varNode(G.Ctx, CalleeInfo.This), std::move(G.Recvs));
-    if (!addCallEdge(C, Site, G.Ctx, G.Callee))
-      continue;
-    for (size_t I = 0; I < CS.Args.size() && I < CalleeInfo.Params.size();
-         ++I)
-      addEdge(varNode(C, CS.Args[I]), varNode(G.Ctx, CalleeInfo.Params[I]));
-    if (CS.Result.isValid())
-      addEdge(varNode(G.Ctx, CalleeInfo.Ret), varNode(C, CS.Result));
-    // Exceptions escaping the callee may propagate to the caller
-    // (conservatively also when caught; see MethodInfo::Exc).
-    addEdge(varNode(G.Ctx, CalleeInfo.Exc),
-            varNode(C, P.method(CS.Enclosing).Exc));
+    auto [CM, IsNew] = internCSMethod(G.Ctx, G.Callee);
+    seedDelta(cachedVarNode(CSMethodNodes[CM.idx()].This, G.Ctx,
+                            P.method(G.Callee).This),
+              std::move(G.Recvs));
+    linkCall(C, CS, CSSite, CM, IsNew, Caller);
   }
 }
 
@@ -157,36 +155,57 @@ void SolverCore::onVarGrowth(ContextId C, VarId V, const PointsToSet &Delta) {
 
 void SolverCore::processStaticCall(ContextId C, CallSiteId Site) {
   const CallSiteInfo &CS = P.callSite(Site);
-  MethodId Callee = CS.Direct;
-  const MethodInfo &CalleeInfo = P.method(Callee);
   ContextId CalleeCtx = Selector.selectStaticCallee(C, Site);
-  if (!addCallEdge(C, Site, CalleeCtx, Callee))
-    return;
-  for (size_t I = 0; I < CS.Args.size() && I < CalleeInfo.Params.size(); ++I)
-    addEdge(varNode(C, CS.Args[I]), varNode(CalleeCtx, CalleeInfo.Params[I]));
-  if (CS.Result.isValid())
-    addEdge(varNode(CalleeCtx, CalleeInfo.Ret), varNode(C, CS.Result));
-  addEdge(varNode(CalleeCtx, CalleeInfo.Exc),
-          varNode(C, P.method(CS.Enclosing).Exc));
+  auto [CM, IsNew] = internCSMethod(CalleeCtx, CS.Direct);
+  CallerNodes Caller;
+  linkCall(C, CS, R.CG.csSite(C, Site), CM, IsNew, Caller);
 }
 
 void SolverCore::addReachable(ContextId C, MethodId M) {
-  uint32_t Known = R.CSM.numCSMethods();
-  if (R.CSM.csMethod(C, M).idx() >= Known)
+  if (internCSMethod(C, M).second)
     expandMethod(C, M);
 }
 
-bool SolverCore::addCallEdge(ContextId C, CallSiteId Site, ContextId CalleeCtx,
-                             MethodId Callee) {
+std::pair<CSMethodId, bool> SolverCore::internCSMethod(ContextId C,
+                                                       MethodId M) {
   // cs-method ids are dense in first-seen order, so a new one is not below
   // the count read before interning.
   uint32_t Known = R.CSM.numCSMethods();
-  CSMethodId CM = R.CSM.csMethod(CalleeCtx, Callee);
-  if (!R.CG.addEdge(C, Site, CM, Callee))
-    return false; // the callee of an existing edge is reachable already
-  if (CM.idx() >= Known)
+  CSMethodId CM = R.CSM.csMethod(C, M);
+  if (CM.idx() >= CSMethodNodes.size())
+    CSMethodNodes.resize(R.CSM.numCSMethods());
+  return {CM, CM.idx() >= Known};
+}
+
+void SolverCore::linkCall(ContextId C, const CallSiteInfo &CS,
+                          CSSiteId CSSite, CSMethodId CM, bool IsNew,
+                          CallerNodes &Caller) {
+  auto [CalleeCtx, Callee] = R.CSM.methodOf(CM);
+  if (!R.CG.addEdge(CSSite, CM, Callee))
+    return; // the callee of an existing edge is reachable already
+  if (IsNew)
     expandMethod(CalleeCtx, Callee);
-  return true;
+  // Each edge fetches its destination node before its source, so node
+  // ids do not depend on the order a compiler evaluates arguments in.
+  const MethodInfo &CalleeInfo = P.method(Callee);
+  for (size_t I = 0; I < CS.Args.size() && I < CalleeInfo.Params.size();
+       ++I) {
+    PtrNodeId Param = varNode(CalleeCtx, CalleeInfo.Params[I]);
+    addEdge(varNode(C, CS.Args[I]), Param);
+  }
+  if (CS.Result.isValid()) {
+    PtrNodeId Result = cachedVarNode(Caller.Result, C, CS.Result);
+    addEdge(cachedVarNode(CSMethodNodes[CM.idx()].Ret, CalleeCtx,
+                          CalleeInfo.Ret),
+            Result);
+  }
+  // Exceptions escaping the callee may propagate to the caller
+  // (conservatively also when caught; see MethodInfo::Exc).
+  PtrNodeId CallerExc =
+      cachedVarNode(Caller.Exc, C, P.method(CS.Enclosing).Exc);
+  addEdge(cachedVarNode(CSMethodNodes[CM.idx()].Exc, CalleeCtx,
+                        CalleeInfo.Exc),
+          CallerExc);
 }
 
 void SolverCore::expandMethod(ContextId C, MethodId M) {

@@ -23,6 +23,7 @@
 #include "pta/SetBackend.h"
 #include "support/FlatHash.h"
 
+#include <utility>
 #include <vector>
 
 namespace mahjong::pta {
@@ -72,11 +73,31 @@ protected:
   /// Makes \p M reachable under \p C (the entry method).
   void addReachable(ContextId C, MethodId M);
 
-  /// Adds the call-graph edge (C, Site) -> (CalleeCtx, Callee) and makes
-  /// the callee reachable under CalleeCtx.
-  /// \returns false if the edge already existed.
-  bool addCallEdge(ContextId C, CallSiteId Site, ContextId CalleeCtx,
-                   MethodId Callee);
+  /// Interns the cs-method (\p C, \p M) and grows CSMethodNodes to cover
+  /// it. \returns its id and whether it is new.
+  std::pair<CSMethodId, bool> internCSMethod(ContextId C, MethodId M);
+
+  /// The caller-side nodes a call's wiring reads: the call's result
+  /// variable and the enclosing method's $exc, each fetched on first use.
+  /// Both depend on the caller context and the call site, so one is
+  /// valid for one receiver delta or one static call, no longer.
+  struct CallerNodes {
+    PtrNodeId Result, Exc;
+  };
+
+  /// Adds the call-graph edge \p CSSite -> \p CM, where \p IsNew says
+  /// whether internCSMethod just interned \p CM. A new edge expands a new
+  /// callee and wires arguments, return value and exception between the
+  /// caller context \p C and the callee.
+  void linkCall(ContextId C, const ir::CallSiteInfo &CS, CSSiteId CSSite,
+                CSMethodId CM, bool IsNew, CallerNodes &Caller);
+
+  /// varNode(C, V), cached in \p Slot on first use.
+  PtrNodeId cachedVarNode(PtrNodeId &Slot, ContextId C, VarId V) {
+    if (!Slot.isValid())
+      Slot = varNode(C, V);
+    return Slot;
+  }
 
   /// Expands the statements of \p M under \p C; runs once per cs-method,
   /// when it is first interned.
@@ -88,7 +109,8 @@ protected:
   /// Dispatches every new receiver of \p Site in \p Delta, grouping the
   /// receivers by (callee, callee-context) so each group pays for the
   /// this-binding, call-graph edge and arg/ret wiring once instead of
-  /// once per receiver object.
+  /// once per receiver object. What is the same for every group — the cs
+  /// call site and the caller-side nodes — is fetched once per delta.
   void processCallsOnDelta(ContextId C, CallSiteId Site,
                            const PointsToSet &Delta);
   MethodId dispatch(TypeId RecvType, CallSiteId Site);
@@ -117,6 +139,15 @@ protected:
   /// The pointer node of each cs-variable, indexed by CSVarId: one array
   /// read in place of a second table lookup on every varNode().
   std::vector<PtrNodeId> VarNodes;
+
+  /// The callee-side nodes every call edge into a cs-method wires:
+  /// 'this', the return slot and $exc, indexed by CSMethodId. Each is
+  /// fetched on its own first use, not all three at once, so node ids
+  /// keep the order in which the wiring first asks for them.
+  struct CalleeNodes {
+    PtrNodeId This, Ret, Exc;
+  };
+  std::vector<CalleeNodes> CSMethodNodes;
 
   /// (receiver type, call site) -> encodeCallee(callee).
   FlatMap64 DispatchCache;

@@ -10,11 +10,13 @@
 /// O(1) reverse lookup.
 ///
 /// Two forms: the generic one, over a node-based std::unordered_map, serves
-/// the vector keys (contexts, determinized automaton states, snapshot
-/// sets); the uint64_t specialisation, over the flat open-addressing
-/// FlatMap64, serves every packed integer key of the solver
-/// (context-sensitive variables, objects and methods, pointer nodes and
-/// call-graph call sites), where interning is the hot path.
+/// the vector keys (determinized automaton states, snapshot sets); the
+/// uint64_t specialisation, over the flat open-addressing FlatMap64, serves
+/// every packed integer key of the solver (context-sensitive variables,
+/// objects and methods, pointer nodes and call-graph call sites), where
+/// interning is the hot path. Calling contexts, interned once per
+/// receiver group, are neither: pta::ContextTable is a prefix trie over
+/// one FlatMap64, so a context costs a probe per element, not a vector.
 ///
 //===----------------------------------------------------------------------===//
 

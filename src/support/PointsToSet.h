@@ -151,43 +151,14 @@ public:
     return true;
   }
 
-  /// Intersects this set with \p Other in place. Like unionWith, a
-  /// merge-join over the chunk arrays; allocates nothing (chunks are
-  /// compacted in place).
-  void intersectWith(const PointsToSet &Other) {
-    if (empty())
-      return;
-    if (Other.empty()) {
-      clear();
-      return;
-    }
-    const std::vector<Chunk> &OC = Other.Chunks;
-    size_t Kept = 0, J = 0;
-    size_t NewCount = 0;
-    for (size_t I = 0; I < Chunks.size(); ++I) {
-      while (J < OC.size() && OC[J].Index < Chunks[I].Index)
-        ++J;
-      if (J >= OC.size())
-        break;
-      if (OC[J].Index != Chunks[I].Index)
-        continue;
-      uint64_t Word = Chunks[I].Word & OC[J].Word;
-      if (Word) {
-        Chunks[Kept++] = {Chunks[I].Index, Word};
-        NewCount += std::popcount(Word);
-      }
-    }
-    Chunks.resize(Kept);
-    Count = NewCount;
-  }
-
   /// Restricts this set to elements inside one of the half-open \p Ranges
   /// ([lo, hi) pairs, sorted and disjoint) or contained in \p Overflow
   /// (may be null). The cast-filter primitive of pta::SetRepOps: when
   /// object ids are ranked in class-hierarchy order, a filter is a handful
   /// of ranges plus a small bitmap of late (context-sensitive) objects;
-  /// with nothing ranked, it is no ranges and one bitmap, and this is
-  /// intersectWith(*Overflow). Cost: one pass over this set's chunks with
+  /// with nothing ranked, it is no ranges and one bitmap, the plain
+  /// intersection with *Overflow. Allocates nothing (chunks are compacted
+  /// in place). Cost: one pass over this set's chunks with
   /// merge-join cursors into Ranges and Overflow, stopping once both
   /// cursors are exhausted.
   void

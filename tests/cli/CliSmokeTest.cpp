@@ -196,6 +196,23 @@ TEST(CliSmoke, SolverEnginesAgreeOnClientCounts) {
   EXPECT_NE(D.Out.find("solver (auto:"), std::string::npos) << D.Out;
 }
 
+TEST(CliSmoke, OnlyTheWaveEngineReportsCollapseCounters) {
+  // SCC collapse and filter bitmap hits are wave-engine counters; a naive
+  // run has neither and must not print them as zeros.
+  std::string Mj = writeFile("ok.mj", FixtureSrc);
+  CliRun W = run({"analyze", Mj, "--analysis", "2obj", "--heap", "site",
+                  "--solver", "wave"});
+  CliRun N = run({"analyze", Mj, "--analysis", "2obj", "--heap", "site",
+                  "--solver", "naive"});
+  ASSERT_EQ(W.Exit, cli::ExitOk) << W.Err;
+  ASSERT_EQ(N.Exit, cli::ExitOk) << N.Err;
+  for (const char *Phrase : {"SCCs collapsed", "filter bitmap hits"}) {
+    EXPECT_NE(W.Out.find(Phrase), std::string::npos) << W.Out;
+    EXPECT_EQ(N.Out.find(Phrase), std::string::npos) << N.Out;
+  }
+  EXPECT_NE(N.Out.find(" pops\n"), std::string::npos) << N.Out;
+}
+
 TEST(CliSmoke, MissingInputsAreIOErrors) {
   EXPECT_EQ(run({"analyze", "/nonexistent/x.mj"}).Exit, cli::ExitIOError);
   EXPECT_EQ(run({"query", "/nonexistent/x.mjsnap", "devirt", "0"}).Exit,

@@ -189,7 +189,7 @@ TEST_P(SetRepFuzz, MatchesStdSetOracle) {
         Sets[I].clear();
         Refs[I].clear();
       } else if (J != I && Rng() % 3 == 0) {
-        Sets[I].intersectWith(Sets[J]);
+        Sets[I].intersectWithRanges({}, &Sets[J]);
         for (auto It = Refs[I].begin(); It != Refs[I].end();)
           It = Refs[J].count(*It) ? std::next(It) : Refs[I].erase(It);
         Check(J, "intersect src (must not mutate)", Op);
