@@ -115,13 +115,12 @@ BENCHMARK(BM_PointsToSetDifferenceSkewed)
     ->Args({1 << 14, 256});
 
 // Filter axis, both through SetRepOps' one primitive,
-// intersectWithRanges: 0 = all bitmap (chunked numbering: no ranges, the
-// whole pass set in the bitmap), 1 = all ranges (the ranked block under
-// hierarchy numbering: the RLE encoding of the same pass set, no
-// bitmap). The range list here is the bitmap's own run-length encoding,
-// so both modes compute the exact same result; real hierarchy filters
-// are far more compact (a few runs), making this the range path's worst
-// case.
+// intersectWithRanges: 0 = all bitmap (no ranges, the whole pass set in
+// the bitmap, as for cs-objects above the ranked block), 1 = all ranges
+// (the ranked block: the RLE encoding of the same pass set, no bitmap).
+// The range list here is the bitmap's own run-length encoding, so both
+// modes compute the exact same result; real rank filters are far more
+// compact (a few runs), making this the range path's worst case.
 static void BM_PointsToSetIntersectSkewed(benchmark::State &State) {
   auto [A, B] = skewedSets(static_cast<uint32_t>(State.range(0)),
                            static_cast<uint32_t>(State.range(1)));

@@ -22,14 +22,6 @@
 //   --only NAME    restrict both sections to one benchmark profile
 //   --solver-only  skip the Table-2 breakdown; run just the engine
 //                  comparison (for solver-perf iteration)
-//   --set-rep NAME set-representation backend for the engine race
-//                  (chunked|hierarchy; default chunked) — both the
-//                  baseline and the candidate engine use it, so the
-//                  SetBytes-consistency check stays meaningful
-//   --set-rep-race instead of a two-engine race, run both engines x
-//                  both set backends per profile and verify all four
-//                  runs agree (canonical digests); records solve time
-//                  and set bytes per run; writes BENCH_setrep.json
 //   --auto-check   instead of a two-engine race, run both engines
 //                  per profile and verify SolverEngine::Auto's pre-solve
 //                  pick is never slower than the best manual choice by
@@ -46,14 +38,11 @@
 #include "BenchUtil.h"
 
 #include "pta/ResultDigest.h"
-#include "pta/SetRep.h"
 
 #include <algorithm>
 #include <cstring>
 #include <fstream>
-#include <iterator>
 #include <memory>
-#include <optional>
 #include <vector>
 
 using namespace mahjong;
@@ -88,11 +77,9 @@ struct SolverRow {
 
 std::unique_ptr<pta::PTAResult> runEngine(const ir::Program &P,
                                           const ir::ClassHierarchy &CH,
-                                          pta::SolverEngine Engine,
-                                          pta::SetRep Rep) {
+                                          pta::SolverEngine Engine) {
   pta::AnalysisOptions Opts; // ci, alloc-site heap, no budget
   Opts.Engine = Engine;
-  Opts.Rep = Rep;
   return pta::runPointerAnalysis(P, CH, Opts);
 }
 
@@ -172,7 +159,7 @@ int runAutoCheck(const std::vector<std::string> &Names, double Scale,
                                         pta::SolverEngine::Wave};
     uint64_t Digest[2] = {0, 0};
     for (int E = 0; E < 2; ++E) { // one solution alive at a time
-      auto R = runEngine(*P, CH, Order[E], pta::SetRep::Chunked);
+      auto R = runEngine(*P, CH, Order[E]);
       Row.Seconds[E] = R->Stats.Seconds;
       Digest[E] = pta::canonicalResultDigest(*R);
     }
@@ -215,117 +202,6 @@ int runAutoCheck(const std::vector<std::string> &Names, double Scale,
   if (!AllOk) {
     std::fprintf(stderr, "FAIL: auto selection picked a bad engine (or "
                          "engines disagree) on at least one profile\n");
-    return 1;
-  }
-  return 0;
-}
-
-/// --set-rep-race: the full backend x engine cross-product per profile.
-/// Every run's canonical digest must match the reference (naive engine on
-/// the chunked backend): the backends are pure representation swaps, so
-/// any divergence is a bug in a filter structure. Per run the JSON
-/// records solve seconds and set bytes, plus per (profile, engine) the
-/// bytes and time of the hierarchy backend relative to chunked.
-int runSetRepRace(const std::vector<std::string> &Names, double Scale,
-                  bool Smoke, std::string JsonPath) {
-  if (JsonPath.empty())
-    JsonPath = "BENCH_setrep.json";
-  constexpr pta::SetRep Reps[] = {pta::SetRep::Chunked,
-                                  pta::SetRep::Hierarchy};
-  std::printf("== Set-representation backends x solver engines "
-              "(digest race)%s ==\n\n",
-              Smoke ? " [smoke scale]" : "");
-  struct Run {
-    const char *Engine;
-    const char *Rep;
-    double Seconds = 0;
-    uint64_t SetBytes = 0;
-    bool Identical = false;
-  };
-  struct RaceRow {
-    std::string Name;
-    std::vector<Run> Runs;
-  };
-  std::vector<RaceRow> Rows;
-  bool AllIdentical = true;
-  for (const std::string &Name : Names) {
-    auto P = workload::buildBenchmarkProgram(Name, Scale);
-    ir::ClassHierarchy CH(*P);
-    RaceRow Row;
-    Row.Name = Name;
-    uint64_t RefDigest = 0;
-    bool HaveRef = false;
-    std::printf("%s\n", Name.c_str());
-    std::printf("  %-8s %-9s %9s %14s %5s\n", "engine", "rep", "sec",
-                "set-bytes", "same");
-    for (const EngineSpec &E : Engines) {
-      double ChunkedSeconds = 0;
-      uint64_t ChunkedBytes = 0;
-      for (pta::SetRep Rep : Reps) {
-        auto R = runEngine(*P, CH, E.Engine, Rep);
-        Run Rn;
-        Rn.Engine = E.Name;
-        Rn.Rep = pta::setRepName(Rep);
-        Rn.Seconds = R->Stats.Seconds;
-        Rn.SetBytes = R->Stats.SetBytes;
-        uint64_t D = pta::canonicalResultDigest(*R);
-        if (!HaveRef) {
-          RefDigest = D;
-          HaveRef = true;
-        }
-        Rn.Identical = D == RefDigest;
-        AllIdentical &= Rn.Identical;
-        if (Rep == pta::SetRep::Chunked) {
-          ChunkedSeconds = Rn.Seconds;
-          ChunkedBytes = Rn.SetBytes;
-        }
-        std::printf("  %-8s %-9s %9.3f %14llu %5s\n", Rn.Engine, Rn.Rep,
-                    Rn.Seconds, (unsigned long long)Rn.SetBytes,
-                    Rn.Identical ? "yes" : "NO");
-        Row.Runs.push_back(Rn);
-      }
-      if (ChunkedBytes) {
-        const Run &Hier = Row.Runs.back();
-        std::printf("  -> %s: hierarchy bytes %.0f%% of chunked, time "
-                    "%.2fx\n",
-                    E.Name, 100.0 * Hier.SetBytes / ChunkedBytes,
-                    ChunkedSeconds > 0 ? Hier.Seconds / ChunkedSeconds : 0);
-      }
-    }
-    Rows.push_back(std::move(Row));
-  }
-  std::ofstream Out(JsonPath);
-  Out << "{\n  \"mode\": \"" << (Smoke ? "smoke" : "full")
-      << "\",\n  \"check\": \"set-rep-race\",\n  \"profiles\": [\n";
-  for (size_t I = 0; I < Rows.size(); ++I) {
-    const RaceRow &Row = Rows[I];
-    Out << "    {\"name\": \"" << Row.Name << "\", \"runs\": [\n";
-    // chunked is always the first run of each engine pair.
-    constexpr size_t NumReps = std::size(Reps);
-    for (size_t J = 0; J < Row.Runs.size(); ++J) {
-      const Run &Rn = Row.Runs[J];
-      const Run &Ref = Row.Runs[J - J % NumReps];
-      char Buf[512];
-      std::snprintf(
-          Buf, sizeof(Buf),
-          "      {\"engine\": \"%s\", \"rep\": \"%s\", "
-          "\"seconds\": %.4f, \"set_bytes\": %llu, "
-          "\"bytes_vs_chunked\": %.4f, \"time_vs_chunked\": %.4f, "
-          "\"identical\": %s}%s\n",
-          Rn.Engine, Rn.Rep, Rn.Seconds, (unsigned long long)Rn.SetBytes,
-          Ref.SetBytes ? (double)Rn.SetBytes / Ref.SetBytes : 0.0,
-          Ref.Seconds > 0 ? Rn.Seconds / Ref.Seconds : 0.0,
-          Rn.Identical ? "true" : "false",
-          J + 1 < Row.Runs.size() ? "," : "");
-      Out << Buf;
-    }
-    Out << "    ]}" << (I + 1 < Rows.size() ? "," : "") << "\n";
-  }
-  Out << "  ]\n}\n";
-  std::printf("\nwrote %s\n", JsonPath.c_str());
-  if (!AllIdentical) {
-    std::fprintf(stderr, "FAIL: at least one (engine, backend) run "
-                         "diverged from the reference solution\n");
     return 1;
   }
   return 0;
@@ -378,10 +254,8 @@ int main(int Argc, char **Argv) {
   bool Smoke = false;
   bool SolverOnly = false;
   bool AutoCheck = false;
-  bool SetRepRace = false;
   std::string JsonPath;
   std::string Only;
-  std::string SetRepName = "chunked";
   for (int I = 1; I < Argc; ++I) {
     if (!std::strcmp(Argv[I], "--smoke"))
       Smoke = true;
@@ -389,31 +263,16 @@ int main(int Argc, char **Argv) {
       JsonPath = Argv[++I];
     else if (!std::strcmp(Argv[I], "--only") && I + 1 < Argc)
       Only = Argv[++I];
-    else if (!std::strncmp(Argv[I], "--set-rep=", 10))
-      SetRepName = Argv[I] + 10;
-    else if (!std::strcmp(Argv[I], "--set-rep") && I + 1 < Argc)
-      SetRepName = Argv[++I];
     else if (!std::strcmp(Argv[I], "--solver-only"))
       SolverOnly = true;
     else if (!std::strcmp(Argv[I], "--auto-check"))
       AutoCheck = true;
-    else if (!std::strcmp(Argv[I], "--set-rep-race"))
-      SetRepRace = true;
     else {
       std::fprintf(stderr,
-                   "usage: bench_preanalysis [--smoke] "
-                   "[--set-rep NAME] [--json PATH] "
-                   "[--only PROFILE] [--solver-only] [--auto-check] "
-                   "[--set-rep-race]\n");
+                   "usage: bench_preanalysis [--smoke] [--json PATH] "
+                   "[--only PROFILE] [--solver-only] [--auto-check]\n");
       return 2;
     }
-  }
-  std::optional<pta::SetRep> Rep = pta::parseSetRep(SetRepName);
-  if (!Rep) {
-    std::fprintf(stderr,
-                 "unknown set backend '%s' (chunked, hierarchy)\n",
-                 SetRepName.c_str());
-    return 2;
   }
   const EngineSpec *Base = &Engines[0], *Cand = &Engines[1];
   const double Scale = Smoke ? 0.05 : 1.0;
@@ -425,9 +284,6 @@ int main(int Argc, char **Argv) {
     std::fprintf(stderr, "unknown profile '%s'\n", Only.c_str());
     return 2;
   }
-
-  if (SetRepRace)
-    return runSetRepRace(Names, Scale, Smoke, JsonPath);
 
   if (AutoCheck)
     return runAutoCheck(Names, Scale, Smoke, JsonPath);
@@ -452,8 +308,8 @@ int main(int Argc, char **Argv) {
     ir::ClassHierarchy CH(*P);
     SolverRow Row;
     Row.Name = Name;
-    auto BaseR = runEngine(*P, CH, Base->Engine, *Rep);
-    auto CandR = runEngine(*P, CH, Cand->Engine, *Rep);
+    auto BaseR = runEngine(*P, CH, Base->Engine);
+    auto CandR = runEngine(*P, CH, Cand->Engine);
     Row.BaseSeconds = BaseR->Stats.Seconds;
     Row.CandSeconds = CandR->Stats.Seconds;
     Row.BasePops = BaseR->Stats.WorklistPops;

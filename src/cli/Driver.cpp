@@ -50,8 +50,7 @@ int usage(std::ostream &Err) {
          "commands:\n"
          "  analyze <file.mj> [--analysis ci|2cs|2obj|3obj|2type|3type]\n"
          "                    [--heap site|type|mahjong] [--budget SECONDS]\n"
-         "                    [--solver auto|wave|naive] "
-         "[--set-rep chunked|hierarchy]\n"
+         "                    [--solver auto|wave|naive]\n"
          "                    [--facts DIR] [--save-snapshot FILE.mjsnap]\n"
          "                    [--trace-out FILE.json] [--metrics-out FILE]\n"
          "  gen <profile> <out.mj> [--scale S]   write a workload profile "
@@ -233,14 +232,12 @@ int cmdAnalyze(int Argc, const char *const *Argv, std::ostream &Out,
   if (Argc < 3)
     return usage(Err);
   std::string Analysis = "2obj", HeapKind = "mahjong", SolverKind = "auto",
-              SetRepStr = "chunked", FactsDir, SnapPath, BudgetStr,
-              TraceOut, MetricsOut;
+              FactsDir, SnapPath, BudgetStr, TraceOut, MetricsOut;
   FlagParser Flags(Argc, Argv, 3, Err);
   while (!Flags.done()) {
     if (Flags.take("--analysis", Analysis) || Flags.take("--heap", HeapKind) ||
         Flags.take("--budget", BudgetStr) || Flags.take("--facts", FactsDir) ||
         Flags.take("--solver", SolverKind) ||
-        Flags.take("--set-rep", SetRepStr) ||
         Flags.take("--save-snapshot", SnapPath) ||
         Flags.take("--trace-out", TraceOut) ||
         Flags.take("--metrics-out", MetricsOut))
@@ -267,12 +264,6 @@ int cmdAnalyze(int Argc, const char *const *Argv, std::ostream &Out,
   if (SolverKind != "auto" && SolverKind != "wave" && SolverKind != "naive") {
     Err << "error: flag '--solver' got unknown engine '" << SolverKind
         << "' (expected auto|wave|naive)\n";
-    return ExitUsage;
-  }
-  std::optional<pta::SetRep> Rep = pta::parseSetRep(SetRepStr);
-  if (!Rep) {
-    Err << "error: flag '--set-rep' got unknown backend '" << SetRepStr
-        << "' (expected chunked|hierarchy)\n";
     return ExitUsage;
   }
   // The sink must outlive every traced phase below; the guard uninstalls
@@ -308,11 +299,9 @@ int cmdAnalyze(int Argc, const char *const *Argv, std::ostream &Out,
   Opts.Engine = SolverKind == "naive"  ? pta::SolverEngine::Naive
                 : SolverKind == "auto" ? pta::SolverEngine::Auto
                                        : pta::SolverEngine::Wave;
-  Opts.Rep = *Rep;
   if (HeapKind == "mahjong") {
     core::MahjongOptions MOpts;
     MOpts.PreEngine = Opts.Engine;
-    MOpts.PreRep = Opts.Rep;
     MR = core::buildMahjongHeap(*P, CH, MOpts);
     Opts.Heap = MR.Heap.get();
     Out << "mahjong heap: " << MR.numAllocSiteObjects() << " sites -> "
@@ -365,8 +354,7 @@ int cmdAnalyze(int Argc, const char *const *Argv, std::ostream &Out,
         << R->Stats.NodesCollapsed << " nodes), "
         << R->Stats.FilterBitmapHits << " filter bitmap hits";
   Out << "\n";
-  Out << "  set rep (" << R->SetRepName << "): " << R->Stats.SetBytes
-      << " set bytes\n";
+  Out << "  set bytes: " << R->Stats.SetBytes << "\n";
   if (!FactsDir.empty()) {
     if (!pta::writeAllFacts(*R, FactsDir)) {
       Err << "error: cannot write facts into '" << FactsDir << "'\n";

@@ -18,6 +18,11 @@ bool CallGraph::addEdge(CSSiteId CSSite, CSMethodId CSCallee,
     return false;
   uint32_t Site = static_cast<uint32_t>(CSSites.get(CSSite));
   uint64_t CIKey = (static_cast<uint64_t>(Site) << 32) | Callee.idx();
+  // A site's new cs edges mostly arrive back to back for one callee under
+  // many contexts; the repeat is already in CIEdges, so skip its probe.
+  if (CIKey == LastCIKey)
+    return true;
+  LastCIKey = CIKey;
   if (CIEdges.insert(CIKey))
     SiteTargets[Site].push_back(Callee);
   return true;

@@ -59,6 +59,7 @@ public:
 private:
   FlatMap64 CSEdges; ///< packed (cs call site, cs callee)
   FlatMap64 CIEdges; ///< packed (site, method)
+  uint64_t LastCIKey = UINT64_MAX; ///< CIEdges key of the last new cs edge
   std::unordered_map<uint32_t, std::vector<MethodId>> SiteTargets;
   /// (caller context, site) interning, for the 64-bit cs edge key.
   Interner<CSSiteId, uint64_t> CSSites;

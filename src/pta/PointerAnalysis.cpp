@@ -232,13 +232,16 @@ const char *mahjong::pta::solverEngineName(SolverEngine Engine) {
 namespace {
 
 // Calibrated against the checked-in full-scale engine races
-// (BENCH_solver.json). Measured work = numVars + 4*numObjs per profile:
-// antlr 80k, luindex 48k, lusearch 57k, fop 107k — all profiles where
-// the FIFO worklist beats wave outright (fop by 1.7x); then a wide gap
-// to checkstyle 574k, chart 623k and up, where wave is at worst within
-// a few percent of naive and wins big where collapsing bites (eclipse
-// 1.57M work, 1.68x; jpc 1.23M, 1.76x). The naive cutoff sits in the
-// gap, above fop.
+// (BENCH_solver.json, BENCH_auto_solver.json). Measured work = numVars +
+// 4*numObjs per profile: antlr 80k, luindex 48k, lusearch 57k, fop 107k
+// — profiles that solve in 0.03-0.17 s, where neither engine wins by
+// more than 0.05 s (naive 1.3x on lusearch; wave 1.2-1.5x on antlr and
+// fop in one race, 0.9-1.04x in the other); then a wide gap to
+// checkstyle 574k, chart 623k and up, where wave is 1.15-1.27x faster
+// in the engine race but for bloat (0.98x), and eclipse (1.57M work)
+// gains most, 1.27-1.57x. The naive cutoff sits in the gap, above fop.
+// Always-wave was also measured end to end (bench/e2e, 3 seeds,
+// medians) and lost to this chooser on every workload.
 constexpr uint64_t NaiveWorkCutoff = 250'000;
 
 } // namespace
@@ -269,12 +272,11 @@ mahjong::pta::runPointerAnalysis(const Program &P, const ClassHierarchy &CH,
                             ? chooseSolverEngine(P)
                             : Opts.Engine;
   R->EngineName = solverEngineName(Engine);
-  // The set-representation backend lives outside the engine: it must be
+  // The cs-object numbering lives outside the engine: it must be
   // constructed before the engine constructor interns its first cs-object
-  // (hierarchy numbering pre-interns the ranked block), and the same
-  // object serves whichever engine runs.
-  SetRepOps Ops(Opts.Rep, *R);
-  R->SetRepName = setRepName(Opts.Rep);
+  // (it pre-interns the ranked block), and the same object serves
+  // whichever engine runs.
+  SetRepOps Ops(*R);
   if (Engine == SolverEngine::Naive) {
     obs::ScopedSpan Span("solve/naive");
     NaiveSolver S(P, CH, Heap, *Selector, Ops, *R, Opts.TimeBudgetSeconds);

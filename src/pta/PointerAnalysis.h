@@ -25,7 +25,6 @@
 #include "pta/Context.h"
 #include "pta/ContextSelector.h"
 #include "pta/HeapAbstraction.h"
-#include "pta/SetRep.h"
 #include "support/Histogram.h"
 #include "support/PointsToSet.h"
 
@@ -101,9 +100,6 @@ public:
   /// The concrete engine that produced this result ("wave" or "naive")
   /// — under SolverEngine::Auto, the one the heuristic chose.
   std::string EngineName;
-  /// The set-representation backend of the run ("chunked" or
-  /// "hierarchy"); see AnalysisOptions::Rep.
-  std::string SetRepName;
 
   // --- Pointer-node key encoding ---
   static constexpr uint64_t KindVar = 0;
@@ -210,14 +206,18 @@ const char *solverEngineName(SolverEngine Engine);
 ///    waves; the naive FIFO worklist wins there because conditioning
 ///    passes and wave sorting cost more than they save.
 ///  - Large systems are dominated by redundant propagation around copy
-///    cycles; the wave engine's collapsing pays for itself many times
-///    over (eclipse/jpc run ~1.7x faster than naive).
+///    cycles; the wave engine's collapsing pays for itself (eclipse runs
+///    1.3-1.6x faster than naive).
 ///
 /// A pure function of its arguments: same program => same engine.
 SolverEngine chooseSolverEngine(uint64_t NumVars, uint64_t NumObjs);
 
 /// Convenience overload: size proxies from \p P.
 SolverEngine chooseSolverEngine(const ir::Program &P);
+
+/// Names of the cs-object numberings that used to be selectable; only
+/// AnalysisOptions::Rep still mentions them, and it is ignored.
+enum class SetRep { Chunked, Hierarchy };
 
 /// Options selecting the analysis variant.
 struct AnalysisOptions {
@@ -236,14 +236,10 @@ struct AnalysisOptions {
   /// Ignored: both engines are single-threaded. Kept only because
   /// bench/e2e/src/Pipeline.cpp assigns it.
   unsigned SolverThreads = 0;
-  /// How cs-objects are numbered (pta/SetBackend.h): discovery order, or
-  /// a ranked block in class-hierarchy order whose cast filters are rank
-  /// ranges. Both compute the same fixpoint (enforced by
-  /// tests/pta/SetRepEquivalenceTest.cpp and the bench_preanalysis
-  /// --set-rep-race); they differ in speed. Note: hierarchy numbering
-  /// pre-interns one cs-object per allocation site, so Stats.NumCSObjs
-  /// counts all sites instead of only the discovered ones under it.
-  SetRep Rep = SetRep::Chunked;
+  /// Ignored: every run numbers cs-objects in class-hierarchy rank order
+  /// (pta/SetBackend.h). Kept only because bench/e2e/src/Pipeline.cpp
+  /// assigns it.
+  SetRep Rep = SetRep::Hierarchy;
 };
 
 /// Runs the points-to analysis described by \p Opts on \p P.

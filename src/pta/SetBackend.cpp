@@ -26,7 +26,7 @@ constexpr uint32_t NoFilter = UINT32_MAX;
 /// site) *is* its rank. \returns the number of ranked objects.
 uint32_t preInternRanked(PTAResult &R) {
   assert(R.CSM.numCSObjs() == 0 &&
-         "hierarchy renumbering must precede all cs-object interning");
+         "rank numbering must precede all cs-object interning");
   const Program &P = R.P;
   const uint32_t NumTypes = P.numTypes();
 
@@ -90,20 +90,9 @@ uint32_t preInternRanked(PTAResult &R) {
 
 } // namespace
 
-SetRepOps::SetRepOps(SetRep Kind, PTAResult &R)
-    : R(R), FilterOf(R.P.numTypes(), NoFilter) {
-  // Deliberately no pre-interning under Chunked: cs-object raw ids then
-  // follow each engine's *discovery order*, and the windowed union leans
-  // on it — newly discovered objects get the highest ids, so fresh
-  // deltas land in the tail window and unions stay O(window).
-  // Pre-interning in program order was tried and destroyed that locality
-  // (150x solve-time regressions on profiles whose reachability order
-  // diverges from program order). The cost is that chunk *packing* — and
-  // with it SetBytes — can differ by a handful of chunks between the
-  // naive and wave discovery orders; rank order pins numbering outright.
-  if (Kind == SetRep::Hierarchy)
-    NumRanked = preInternRanked(R);
-}
+SetRepOps::SetRepOps(PTAResult &R)
+    : R(R), NumRanked(preInternRanked(R)),
+      FilterOf(R.P.numTypes(), NoFilter) {}
 
 void SetRepOps::addObj(uint32_t CSObjRaw) {
   assert(CSObjRaw >= NumRanked && "ranked objects are covered by ranges");

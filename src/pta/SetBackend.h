@@ -5,30 +5,25 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The set-representation backend behind AnalysisOptions::Rep: one
-/// SetRepOps per run, shared by whichever engine solves it, owning what is
-/// representation policy rather than propagation policy —
+/// One SetRepOps per run, shared by whichever engine solves it, owning
+/// what is representation policy rather than propagation policy —
 ///
-///  - the cs-object numbering: under SetRep::Hierarchy the constructor
-///    pre-interns every allocation site's context-insensitive cs-object
-///    in class-hierarchy rank order (the ranked block); under
-///    SetRep::Chunked nothing is pre-interned and ids follow the engine's
-///    discovery order,
+///  - the cs-object numbering: the constructor pre-interns every
+///    allocation site's context-insensitive cs-object in class-hierarchy
+///    rank order (the ranked block); cs-objects with a heap context follow
+///    in the engine's discovery order,
 ///  - the cast filters: per cast target, the [lo, hi) rank ranges of the
-///    passing ranked objects (none under Chunked) plus a bitmap of the
-///    passing cs-objects above the ranked block, applied in one
-///    PointsToSet::intersectWithRanges.
+///    passing ranked objects plus a bitmap of the passing cs-objects above
+///    the ranked block, applied in one PointsToSet::intersectWithRanges.
 ///
-/// So the chunked backend is the hierarchy backend with nothing ranked.
 /// A cs-object's type is read through PTAResult::typeOfCSObj; the set
-/// value type stays support/PointsToSet.h for both numberings.
+/// value type is support/PointsToSet.h.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef MAHJONG_PTA_SETBACKEND_H
 #define MAHJONG_PTA_SETBACKEND_H
 
-#include "pta/SetRep.h"
 #include "support/Ids.h"
 #include "support/PointsToSet.h"
 
@@ -46,9 +41,9 @@ class SetRepOps {
 public:
   using Ranges = std::vector<std::pair<uint32_t, uint32_t>>;
 
-  /// Under SetRep::Hierarchy, pre-interns the ranked block into \p R, so
-  /// it must run before any other cs-object is interned there.
-  SetRepOps(SetRep Kind, PTAResult &R);
+  /// Pre-interns the ranked block into \p R, so it must run before any
+  /// other cs-object is interned there.
+  explicit SetRepOps(PTAResult &R);
 
   /// Tells every materialized filter about cs-object \p CSObjRaw, which
   /// was just interned. Filters materialized later sweep it themselves.
@@ -74,7 +69,7 @@ private:
   const Filter &materialize(TypeId F);
 
   const PTAResult &R;
-  uint32_t NumRanked = 0;
+  const uint32_t NumRanked;
   std::vector<Filter> Filters;
   std::vector<uint32_t> FilterOf; ///< by TypeId: index into Filters
 };

@@ -31,8 +31,8 @@
 ///  - **Backend-provided cast filters.** SetRepOps (pta/SetBackend.h)
 ///    turns a cast edge into one set intersection, against the target's
 ///    [lo, hi) rank ranges plus a bitmap of the passing cs-objects above
-///    the ranked block (all of them under chunked numbering), built on
-///    first use, instead of a per-element subtype test.
+///    the ranked block, built on first use, instead of a per-element
+///    subtype test.
 ///
 /// The representative contract: every access to Pts/Pending/Out/Queued
 /// must go through the class representative (rep()); member nodes retain

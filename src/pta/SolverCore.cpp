@@ -37,9 +37,9 @@ SolverCore::SolverCore(const Program &P, const ClassHierarchy &CH,
       }
     }
   }
-  // The context-insensitive null object exists in every run. Under
-  // SetRep::Hierarchy the SetRepOps constructor already pre-interned it at
-  // rank 0, so this lookup is a hit, not a new id. No filter exists yet,
+  // The context-insensitive null object exists in every run. The
+  // SetRepOps constructor already pre-interned it at rank 0, so this
+  // lookup is a hit, not a new id. No filter exists yet,
   // so the filters need no notice: each sweeps it when it materializes.
   CSNullObjRaw = R.CSM.csObj(R.Ctxs.empty(), Program::nullObj()).idx();
 }

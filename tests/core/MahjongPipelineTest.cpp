@@ -61,19 +61,15 @@ TEST(MahjongPipeline, PreAnalysisRunsTheChosenEngineAndBackend) {
   auto P = workload::buildSyntheticProgram(Spec);
   ClassHierarchy CH(*P);
   std::vector<ObjId> Reference;
-  for (SolverEngine Engine : {SolverEngine::Naive, SolverEngine::Wave})
-    for (SetRep Rep : {SetRep::Chunked, SetRep::Hierarchy}) {
-      MahjongOptions Opts;
-      Opts.PreEngine = Engine;
-      Opts.PreRep = Rep;
-      MahjongResult MR = buildMahjongHeap(*P, CH, Opts);
-      EXPECT_EQ(MR.Pre->EngineName, solverEngineName(Engine));
-      EXPECT_EQ(MR.Pre->SetRepName, setRepName(Rep));
-      if (Reference.empty())
-        Reference = MR.MOM;
-      EXPECT_EQ(MR.MOM, Reference)
-          << solverEngineName(Engine) << " x " << setRepName(Rep);
-    }
+  for (SolverEngine Engine : {SolverEngine::Naive, SolverEngine::Wave}) {
+    MahjongOptions Opts;
+    Opts.PreEngine = Engine;
+    MahjongResult MR = buildMahjongHeap(*P, CH, Opts);
+    EXPECT_EQ(MR.Pre->EngineName, solverEngineName(Engine));
+    if (Reference.empty())
+      Reference = MR.MOM;
+    EXPECT_EQ(MR.MOM, Reference) << solverEngineName(Engine);
+  }
 }
 
 class PipelineSweepTest

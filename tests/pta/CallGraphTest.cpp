@@ -31,6 +31,30 @@ TEST(CallGraph, DeduplicatesCSAndCIEdges) {
   EXPECT_EQ(CG.calleesOf(CallSiteId(1)).size(), 1u);
 }
 
+TEST(CallGraph, RepeatedCIEdgeUnderManyContextsCountsOnce) {
+  // One callee reaches site 2 under several contexts, first back to back
+  // and then interleaved with a second callee at the same site.
+  CallGraph CG;
+  uint32_t NextCSMethod = 0;
+  auto Add = [&](uint32_t Ctx, uint32_t Callee) {
+    return CG.addEdge(CG.csSite(ContextId(Ctx), CallSiteId(2)),
+                      CSMethodId(NextCSMethod++), MethodId(Callee));
+  };
+  for (uint32_t Ctx = 0; Ctx < 4; ++Ctx)
+    EXPECT_TRUE(Add(Ctx, 7)) << "new cs edge under context " << Ctx;
+  EXPECT_EQ(CG.numCIEdges(), 1u);
+  EXPECT_EQ(CG.calleesOf(CallSiteId(2)), std::vector<MethodId>{MethodId(7)});
+  for (uint32_t Ctx = 4; Ctx < 8; ++Ctx) {
+    EXPECT_TRUE(Add(Ctx, 9));
+    EXPECT_TRUE(Add(Ctx, 7));
+  }
+  EXPECT_EQ(CG.numCSEdges(), 12u);
+  EXPECT_EQ(CG.numCIEdges(), 2u);
+  EXPECT_EQ(CG.calleesOf(CallSiteId(2)),
+            (std::vector<MethodId>{MethodId(7), MethodId(9)}));
+  EXPECT_EQ(CG.callSitesWithEdges(), std::vector<CallSiteId>{CallSiteId(2)});
+}
+
 TEST(CallGraph, TracksDistinctTargetsPerSite) {
   CallGraph CG;
   CG.addEdge(CG.csSite(ContextId(0), CallSiteId(5)), CSMethodId(0),

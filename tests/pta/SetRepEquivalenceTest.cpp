@@ -4,23 +4,21 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The set-representation backends are pure representation swaps: every
-// (engine, backend) pair must compute the bit-identical solution on the
-// canonical form, across all workload profiles. Alongside the digest
-// race, the SetBytes accounting contract is pinned:
+// Both engines filter casts through the one SetRepOps structure and must
+// compute the bit-identical solution on the canonical form, across all
+// workload profiles and context policies. Alongside the digest race, the
+// SetBytes accounting contract is pinned:
 //
 //  - SetBytes == the sum of liveBytes over the final solution;
-//  - the hierarchy backend's SetBytes is strictly engine-invariant (its
-//    prepare() pins cs-object numbering, so chunk packing is a pure
-//    function of the solution); under the discovery-order chunked
-//    backend naive's packing may differ from wave's by a few chunks.
+//  - under ci SetBytes is strictly engine-invariant: every cs-object is
+//    in the ranked block, so its numbering is fixed before the solve and
+//    chunk packing is a pure function of the solution.
 //
 //===----------------------------------------------------------------------===//
 
 #include "../TestUtil.h"
 
 #include "pta/ResultDigest.h"
-#include "pta/SetRep.h"
 #include "workload/BenchmarkPrograms.h"
 
 #include <gtest/gtest.h>
@@ -31,19 +29,17 @@ using namespace mahjong::test;
 
 namespace {
 
-constexpr SetRep Reps[] = {SetRep::Chunked, SetRep::Hierarchy};
 constexpr SolverEngine EnginesUnderTest[] = {SolverEngine::Naive,
                                              SolverEngine::Wave};
 
 std::unique_ptr<PTAResult> run(const ir::Program &P,
                                const ir::ClassHierarchy &CH, SolverEngine E,
-                               SetRep Rep, ContextKind Kind = ContextKind::Insensitive,
+                               ContextKind Kind = ContextKind::Insensitive,
                                unsigned K = 0) {
   AnalysisOptions Opts;
   Opts.Kind = Kind;
   Opts.K = K;
   Opts.Engine = E;
-  Opts.Rep = Rep;
   return runPointerAnalysis(P, CH, Opts);
 }
 
@@ -54,39 +50,22 @@ class SetRepProfile : public ::testing::TestWithParam<std::string> {};
 TEST_P(SetRepProfile, AllBackendsAllEnginesAgreeOnCI) {
   auto P = workload::buildBenchmarkProgram(GetParam(), 0.04);
   ir::ClassHierarchy CH(*P);
-  uint64_t RefDigest = 0;
-  bool HaveRef = false;
-  for (SetRep Rep : Reps) {
-    // Per backend, SetBytes per engine. Hierarchy pins cs-object
-    // numbering in prepare(), so both engines must report the same bytes;
-    // chunked inherits each engine's discovery order.
-    uint64_t WaveSetBytes = 0, NaiveSetBytes = 0;
-    for (SolverEngine E : EnginesUnderTest) {
-      auto R = run(*P, CH, E, Rep);
-      std::string Label = GetParam() + "/" + solverEngineName(E) + "/" +
-                          setRepName(Rep);
-      EXPECT_EQ(R->SetRepName, setRepName(Rep)) << Label;
-      uint64_t D = canonicalResultDigest(*R);
-      if (!HaveRef) {
-        RefDigest = D;
-        HaveRef = true;
-      }
-      EXPECT_EQ(D, RefDigest) << Label;
-      uint64_t SumLive = 0;
-      for (const PointsToSet &S : R->Pts)
-        SumLive += S.liveBytes();
-      EXPECT_EQ(R->Stats.SetBytes, SumLive) << Label;
-      if (E == SolverEngine::Naive)
-        NaiveSetBytes = R->Stats.SetBytes;
-      else
-        WaveSetBytes = R->Stats.SetBytes;
-    }
-    if (Rep == SetRep::Hierarchy) {
-      EXPECT_EQ(NaiveSetBytes, WaveSetBytes)
-          << GetParam() << "/hierarchy: pinned numbering must make "
-                           "SetBytes engine-invariant";
-    }
+  uint64_t Digest[2] = {0, 0}, SetBytes[2] = {0, 0};
+  for (int I = 0; I < 2; ++I) {
+    SolverEngine E = EnginesUnderTest[I];
+    auto R = run(*P, CH, E);
+    std::string Label = GetParam() + "/" + solverEngineName(E);
+    Digest[I] = canonicalResultDigest(*R);
+    uint64_t SumLive = 0;
+    for (const PointsToSet &S : R->Pts)
+      SumLive += S.liveBytes();
+    EXPECT_EQ(R->Stats.SetBytes, SumLive) << Label;
+    SetBytes[I] = R->Stats.SetBytes;
   }
+  EXPECT_EQ(Digest[0], Digest[1]) << GetParam();
+  EXPECT_EQ(SetBytes[0], SetBytes[1])
+      << GetParam() << ": ranked numbering must make SetBytes "
+                       "engine-invariant";
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -97,32 +76,24 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(SetRepEquivalence, ContextSensitivePoliciesAgreeAcrossBackends) {
-  // Context-sensitive heaps exercise what ci cannot: hierarchy overflow
-  // objects born after the ranked block.
+  // Context-sensitive heaps exercise what ci cannot: cs-objects born
+  // after the ranked block, which the filters keep in their bitmaps.
   auto P = workload::buildBenchmarkProgram("fop", 0.03);
   ir::ClassHierarchy CH(*P);
   for (auto [Kind, K] : {std::pair{ContextKind::Object, 2u},
                          std::pair{ContextKind::CallSite, 2u},
                          std::pair{ContextKind::Type, 3u}}) {
-    uint64_t RefDigest = 0;
-    bool HaveRef = false;
-    for (SetRep Rep : Reps) {
-      auto R = run(*P, CH, SolverEngine::Wave, Rep, Kind, K);
-      uint64_t D = canonicalResultDigest(*R);
-      if (!HaveRef) {
-        RefDigest = D;
-        HaveRef = true;
-      }
-      EXPECT_EQ(D, RefDigest)
-          << analysisName(Kind, K) << "/" << setRepName(Rep);
-    }
+    uint64_t Digest[2] = {0, 0};
+    for (int I = 0; I < 2; ++I)
+      Digest[I] = canonicalResultDigest(
+          *run(*P, CH, EnginesUnderTest[I], Kind, K));
+    EXPECT_EQ(Digest[0], Digest[1]) << analysisName(Kind, K);
   }
 }
 
 TEST(SetRepEquivalence, CastHeavyProgramFiltersIdentically) {
   // A small program whose precision hinges entirely on cast filtering:
-  // every backend must keep U out of the (T) downcast, through every
-  // engine.
+  // every engine must keep U out of the (T) downcast.
   constexpr const char *Src = R"(
     class T { }
     class S extends T { }
@@ -142,18 +113,15 @@ TEST(SetRepEquivalence, CastHeavyProgramFiltersIdentically) {
   )";
   auto P = parseOrDie(Src);
   ir::ClassHierarchy CH(*P);
-  for (SetRep Rep : Reps)
-    for (SolverEngine E : EnginesUnderTest) {
-      auto R = run(*P, CH, E, Rep);
-      std::string Label = std::string(solverEngineName(E)) + "/" +
-                          setRepName(Rep);
-      EXPECT_EQ(pointeeTypes(*R, "Main.main/0", "t"),
-                (std::vector<std::string>{"S", "T"}))
-          << Label;
-      EXPECT_EQ(pointeeTypes(*R, "Main.main/0", "s"),
-                (std::vector<std::string>{"S"}))
-          << Label;
-    }
+  for (SolverEngine E : EnginesUnderTest) {
+    auto R = run(*P, CH, E);
+    EXPECT_EQ(pointeeTypes(*R, "Main.main/0", "t"),
+              (std::vector<std::string>{"S", "T"}))
+        << solverEngineName(E);
+    EXPECT_EQ(pointeeTypes(*R, "Main.main/0", "s"),
+              (std::vector<std::string>{"S"}))
+        << solverEngineName(E);
+  }
 }
 
 TEST(SetRepEquivalence, FilterBuiltBeforeAContextSensitiveObjectAdmitsIt) {
@@ -183,18 +151,14 @@ TEST(SetRepEquivalence, FilterBuiltBeforeAContextSensitiveObjectAdmitsIt) {
   auto P = parseOrDie(Src);
   ir::ClassHierarchy CH(*P);
   VarId C = findVar(*P, "Main.main/0", "c");
-  for (SetRep Rep : Reps) {
-    uint64_t Digest[2] = {0, 0};
-    for (int I = 0; I < 2; ++I) {
-      SolverEngine E = EnginesUnderTest[I];
-      auto R = run(*P, CH, E, Rep, ContextKind::Object, 2);
-      std::string Label = std::string(solverEngineName(E)) + "/" +
-                          setRepName(Rep);
-      Digest[I] = canonicalResultDigest(*R);
-      const PointsToSet *CPts = R->varPts(R->Ctxs.empty(), C);
-      ASSERT_NE(CPts, nullptr) << Label;
-      EXPECT_EQ(CPts->size(), 3u) << Label;
-    }
-    EXPECT_EQ(Digest[0], Digest[1]) << setRepName(Rep);
+  uint64_t Digest[2] = {0, 0};
+  for (int I = 0; I < 2; ++I) {
+    SolverEngine E = EnginesUnderTest[I];
+    auto R = run(*P, CH, E, ContextKind::Object, 2);
+    Digest[I] = canonicalResultDigest(*R);
+    const PointsToSet *CPts = R->varPts(R->Ctxs.empty(), C);
+    ASSERT_NE(CPts, nullptr) << solverEngineName(E);
+    EXPECT_EQ(CPts->size(), 3u) << solverEngineName(E);
   }
+  EXPECT_EQ(Digest[0], Digest[1]);
 }

@@ -4,20 +4,19 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Differential fuzzing of the set operations the solvers run, under each
-// cs-object numbering: seeded random operation sequences over a pool of
-// sets — unions, differences, intersections and SetRepOps::filter, the
-// cast filter — checked element-for-element against std::set<uint32_t>
-// oracles after every step. The element distribution deliberately
+// Differential fuzzing of the set operations the solvers run: seeded
+// random operation sequences over a pool of sets — unions, differences,
+// intersections and SetRepOps::filter, the cast filter — checked
+// element-for-element against std::set<uint32_t> oracles after every
+// step. The element distribution deliberately
 // clusters around chunk boundaries (63/64/65, 127/128) and spreads
 // sparsely so unions hit all three internal paths: the beyond-the-end
 // append, the in-chunk OR, and the backward merge with new interior
 // chunks. Every element is a real cs-object: the first draw of an id
 // interns cs-objects of random sites under fresh heap contexts until the
 // id exists, telling the filters as the solver does, so filters see
-// objects born both before and after they materialize. Under hierarchy
-// numbering the low ids are its ranked block and the rest ride in the
-// per-filter bitmap above it.
+// objects born both before and after they materialize. The low ids are
+// the ranked block and the rest ride in the per-filter bitmap above it.
 //
 //===----------------------------------------------------------------------===//
 
@@ -57,33 +56,16 @@ constexpr const char *TinyProgram = R"(
   }
 )";
 
-struct BackendCase {
-  const char *Name;
-  SetRep Rep;
-};
-
-/// gtest's default byte dump of a BackendCase shows the address of Name,
-/// which moves from run to run; gtest_discover_tests copies that dump
-/// into each ctest name. Print the backend name instead.
-void PrintTo(const BackendCase &C, std::ostream *OS) { *OS << C.Name; }
-
-class SetRepFuzz
-    : public ::testing::TestWithParam<std::tuple<BackendCase, unsigned>> {};
-
-std::string fuzzName(
-    const ::testing::TestParamInfo<std::tuple<BackendCase, unsigned>> &I) {
-  return std::string(std::get<0>(I.param).Name) + "_seed" +
-         std::to_string(std::get<1>(I.param));
-}
+class SetRepFuzz : public ::testing::TestWithParam<unsigned> {};
 
 } // namespace
 
 TEST_P(SetRepFuzz, MatchesStdSetOracle) {
-  auto [Backend, Seed] = GetParam();
+  const unsigned Seed = GetParam();
   auto P = parseOrDie(TinyProgram);
   ir::ClassHierarchy CH(*P);
   PTAResult R(*P, CH);
-  SetRepOps Ops(Backend.Rep, R); // hierarchy: ranked block, ids 0..sites-1
+  SetRepOps Ops(R); // ranked block: ids 0..sites-1
   std::vector<TypeId> Classes;
   for (uint32_t T = 0; T < P->numTypes(); ++T)
     if (P->type(TypeId(T)).Kind == ir::TypeKind::Class)
@@ -230,14 +212,10 @@ TEST_P(SetRepFuzz, MatchesStdSetOracle) {
     Check(I, "final", 1500);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Backends, SetRepFuzz,
-    ::testing::Combine(::testing::Values(BackendCase{"chunked",
-                                                     SetRep::Chunked},
-                                         BackendCase{"hierarchy",
-                                                     SetRep::Hierarchy}),
-                       ::testing::Range(1u, 9u)),
-    fuzzName);
+INSTANTIATE_TEST_SUITE_P(Seeds, SetRepFuzz, ::testing::Range(1u, 9u),
+                         [](const ::testing::TestParamInfo<unsigned> &I) {
+                           return "seed" + std::to_string(I.param);
+                         });
 
 TEST(SetRepFuzz, EmptyWindowUnions) {
   // The append fast path (every delta chunk beyond the dst max) and the

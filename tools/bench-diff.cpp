@@ -2,11 +2,11 @@
 //
 // Part of mahjong-cpp. Distributed under the MIT license.
 //
-// Diffs two bench report JSON files (BENCH_solver.json, BENCH_setrep.json,
-// serve-bench reports, bench_obs_overhead output) and exits nonzero when
-// the candidate regressed past per-metric tolerances. This is the CI
-// gate that turns the checked-in bench trajectory from decorative into
-// enforced.
+// Diffs two bench report JSON files (BENCH_solver.json,
+// BENCH_auto_solver.json, serve-bench reports, bench_obs_overhead
+// output) and exits nonzero when the candidate regressed past per-metric
+// tolerances. This is the CI gate that turns the checked-in bench
+// trajectory from decorative into enforced.
 //
 // Metrics are classified by key name, not by a per-file schema, so the
 // tool works across every report shape the repo emits:
@@ -25,7 +25,7 @@
 //                     compared structurally but never gated
 //
 // Array elements are matched by their "name" field (profiles), by the
-// "engine"+"rep" pair (set-rep runs), or by index as a last resort, so
+// "engine"+"rep" pair (per-run rows), or by index as a last resort, so
 // reordering a report does not fabricate a diff. Keys missing from the
 // candidate are warnings, not failures — reports are allowed to grow
 // and shrink fields across PRs; the gate is about the numbers both
