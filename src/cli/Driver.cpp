@@ -469,8 +469,8 @@ int cmdQuery(int Argc, const char *const *Argv, std::ostream &Out,
   if (R.HasVerdict) {
     Out << (R.Verdict ? "true" : "false") << "\n";
   } else {
-    Out << R.Items.size() << " result(s)\n";
-    for (const std::string &Item : R.Items)
+    Out << R.items().size() << " result(s)\n";
+    for (const std::string &Item : R.items())
       Out << "  " << Item << "\n";
   }
   return ExitOk;

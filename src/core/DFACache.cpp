@@ -77,13 +77,15 @@ void DFACache::computeTransitions(DFAStateId S) {
   }
   // One successor list per (class, field), grouped by field: the union
   // alphabet of the members, each symbol with the lists to merge
-  // (Algorithm 3, line 10: q' = { δ[o_j, f] | o_j ∈ q }).
+  // (Algorithm 3, line 10: q' = { δ[o_j, f] | o_j ∈ q }). A single
+  // class's list is already sorted by field.
   FieldLists.clear();
   for (uint32_t C : MemberClasses)
     for (const auto &[F, Targets] : G.classFields(C))
       FieldLists.emplace_back(F, &Targets);
-  std::sort(FieldLists.begin(), FieldLists.end(),
-            [](const auto &A, const auto &B) { return A.first < B.first; });
+  if (MemberClasses.size() > 1)
+    std::sort(FieldLists.begin(), FieldLists.end(),
+              [](const auto &A, const auto &B) { return A.first < B.first; });
 
   const uint32_t Null = Program::nullObj().idx();
   const bool HasNull = ContainsNull[S.idx()];

@@ -23,6 +23,7 @@ MahjongResult mahjong::core::buildMahjongHeap(const Program &P,
   // context-insensitive Andersen with the allocation-site abstraction
   // (§3.1); optionally a more precise variant (see MahjongOptions).
   Timer Clock;
+  std::unique_ptr<PTAResult> Pre;
   {
     obs::ScopedSpan Span("pre-analysis");
     AnalysisOptions PreOpts;
@@ -30,24 +31,27 @@ MahjongResult mahjong::core::buildMahjongHeap(const Program &P,
     PreOpts.K = Opts.PreK;
     PreOpts.Engine = Opts.PreEngine;
     PreOpts.TimeBudgetSeconds = Opts.PreAnalysisBudgetSeconds;
-    R.Pre = runPointerAnalysis(P, CH, PreOpts);
+    Pre = runPointerAnalysis(P, CH, PreOpts);
   }
   R.PreSeconds = Clock.seconds();
+  R.PreEngineName = Pre->EngineName;
 
-  // Stage 2: the field points-to graph.
+  // Stage 2: the field points-to graph, the pre-analysis' last reader.
   Clock.reset();
   {
     obs::ScopedSpan Span("fpg-build");
-    R.FPG = std::make_unique<FieldPointsToGraph>(*R.Pre);
+    R.FPG = std::make_unique<FieldPointsToGraph>(*Pre);
   }
   R.FPGSeconds = Clock.seconds();
+  Pre.reset();
 
-  // Stage 3: merge equivalent automata (Algorithm 1).
+  // Stage 3: merge equivalent automata (Algorithm 1). The automata die
+  // with the merge: nothing after it reads them.
   Clock.reset();
   {
     obs::ScopedSpan Span("automata-merge");
-    R.Cache = std::make_unique<DFACache>(*R.FPG);
-    R.Modeling = modelHeap(*R.FPG, *R.Cache, Opts.Modeler);
+    DFACache Cache(*R.FPG);
+    R.Modeling = modelHeap(*R.FPG, Cache, Opts.Modeler);
     R.MOM = R.Modeling.MOM;
   }
   R.MahjongSeconds = Clock.seconds();

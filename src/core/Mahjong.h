@@ -28,6 +28,7 @@
 #include "pta/PointerAnalysis.h"
 
 #include <memory>
+#include <string>
 
 namespace mahjong::core {
 
@@ -56,12 +57,12 @@ struct MahjongResult {
   std::unique_ptr<pta::MergedHeapAbstraction> Heap;
   /// The raw merged object map (index = allocation site).
   std::vector<ObjId> MOM;
-  /// The pre-analysis solution (kept for clients needing its call graph).
-  std::unique_ptr<pta::PTAResult> Pre;
-  /// The field points-to graph.
+  /// The field points-to graph. The pre-analysis solution it was built
+  /// from and the shared automata of the merge are freed once read, so
+  /// they do not stay alive through the main analysis.
   std::unique_ptr<FieldPointsToGraph> FPG;
-  /// The shared automata (kept for inspection and statistics).
-  std::unique_ptr<DFACache> Cache;
+  /// The solver engine the pre-analysis ran (solverEngineName).
+  std::string PreEngineName;
   HeapModelerResult Modeling;
 
   double PreSeconds = 0;     ///< context-insensitive points-to ("ci")

@@ -92,7 +92,7 @@ void RequestExecutor::answer(const ServingSnapshot &Snap,
   }
   // The exposition covers both the pinned engine's counters and the net.*
   // tier.
-  for (const std::string &Line : QR.Items) {
+  for (const std::string &Line : QR.items()) {
     R.Text += Line;
     R.Text += '\n';
   }

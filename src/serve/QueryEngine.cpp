@@ -23,13 +23,32 @@ using namespace mahjong::serve;
 // Query parsing
 //===----------------------------------------------------------------------===//
 
+/// The C locale's whitespace: what `std::istream >> std::string` splits on.
+static bool isQuerySpace(char C) {
+  return C == ' ' || C == '\t' || C == '\n' || C == '\v' || C == '\f' ||
+         C == '\r';
+}
+
 bool mahjong::serve::parseQuery(std::string_view Text, Query &Q,
                                 std::string &Err) {
-  std::vector<std::string> Tokens;
-  std::istringstream In{std::string(Text)};
-  for (std::string Tok; In >> Tok;)
-    Tokens.push_back(Tok);
-  if (Tokens.empty()) {
+  // A query has at most three tokens; a fourth is only counted, for the
+  // arity diagnostic.
+  std::string_view Tokens[3];
+  size_t NumTokens = 0;
+  for (size_t I = 0; I < Text.size();) {
+    if (isQuerySpace(Text[I])) {
+      ++I;
+      continue;
+    }
+    size_t End = I;
+    while (End < Text.size() && !isQuerySpace(Text[End]))
+      ++End;
+    if (NumTokens < std::size(Tokens))
+      Tokens[NumTokens] = Text.substr(I, End - I);
+    ++NumTokens;
+    I = End;
+  }
+  if (NumTokens == 0) {
     Err = "empty query";
     return false;
   }
@@ -50,18 +69,18 @@ bool mahjong::serve::parseQuery(std::string_view Text, Query &Q,
   for (const Form &F : Forms) {
     if (Tokens[0] != F.Verb)
       continue;
-    if (Tokens.size() != F.Args + 1) {
+    if (NumTokens != F.Args + 1) {
       Err = std::string("'") + F.Verb + "' expects " +
             std::to_string(F.Args) + " argument(s), got " +
-            std::to_string(Tokens.size() - 1);
+            std::to_string(NumTokens - 1);
       return false;
     }
     Q.Kind = F.Kind;
-    Q.A = F.Args >= 1 ? Tokens[1] : std::string();
-    Q.B = F.Args == 2 ? Tokens[2] : std::string();
+    Q.A = Tokens[1];
+    Q.B = Tokens[2];
     return true;
   }
-  Err = "unknown query verb '" + Tokens[0] +
+  Err = "unknown query verb '" + std::string(Tokens[0]) +
         "' (expected points-to, alias, devirt, cast-may-fail, callers, "
         "callees or stats)";
   return false;
@@ -87,16 +106,19 @@ const char *mahjong::serve::queryKindName(QueryKind K) {
   return "unknown";
 }
 
+const QueryResult::ItemList QueryResult::NoItems;
+
 std::string QueryResult::toString() const {
   if (!Ok)
     return "error: " + Error;
   if (HasVerdict)
     return Verdict ? "true" : "false";
   std::string S = "[";
-  for (size_t I = 0; I < Items.size(); ++I) {
+  const ItemList &L = items();
+  for (size_t I = 0; I < L.size(); ++I) {
     if (I)
       S += ", ";
-    S += Items[I];
+    S += L[I];
   }
   return S + "]";
 }
@@ -202,7 +224,9 @@ QueryCache::Stats QueryCache::stats() const {
 
 QueryEngine::QueryEngine(std::shared_ptr<const SnapshotData> Data,
                          size_t CacheCapacity)
-    : Data(std::move(Data)), Cache(CacheCapacity) {
+    : Data(std::move(Data)),
+      Rendered(std::make_unique<RenderedSet[]>(this->Data->PtsSets.size())),
+      Cache(CacheCapacity) {
   const SnapshotData &D = *this->Data;
   VarByKey.reserve(D.Vars.size());
   for (uint32_t V = 0; V < D.Vars.size(); ++V)
@@ -307,12 +331,14 @@ QueryResult QueryEngine::statsResult() const {
                   queryKindName(static_cast<QueryKind>(K)))
         .mergeFrom(H);
   }
-  QueryResult R;
-  R.Ok = true;
+  auto Items = std::make_shared<QueryResult::ItemList>();
   std::istringstream Lines(Reg.toPrometheus());
   for (std::string Line; std::getline(Lines, Line);)
     if (!Line.empty())
-      R.Items.push_back(Line);
+      Items->push_back(Line);
+  QueryResult R;
+  R.Ok = true;
+  R.setItems(std::move(Items));
   return R;
 }
 
@@ -353,14 +379,26 @@ static bool parseIndex(const std::string &Text, size_t Limit, uint32_t &Out,
   return true;
 }
 
+std::shared_ptr<const QueryResult::ItemList>
+QueryEngine::renderedSet(uint32_t S) const {
+  RenderedSet &Slot = Rendered[S];
+  std::call_once(Slot.Once, [&] {
+    auto Items = std::make_shared<QueryResult::ItemList>();
+    Items->reserve(Data->PtsSets[S].size());
+    for (uint32_t O : Data->PtsSets[S])
+      Items->push_back(Data->describeObj(O));
+    Slot.Items = std::move(Items);
+  });
+  return Slot.Items;
+}
+
 QueryResult QueryEngine::pointsTo(const std::string &VarKey) const {
   QueryResult R;
   uint32_t V;
   if (!lookupVar(VarKey, V, R.Error))
     return R;
   R.Ok = true;
-  for (uint32_t O : Data->ptsOfVar(V))
-    R.Items.push_back(Data->describeObj(O));
+  R.setItems(renderedSet(Data->Vars[V].PtsSet));
   return R;
 }
 
@@ -393,15 +431,23 @@ QueryResult QueryEngine::alias(const std::string &KeyA,
   return R;
 }
 
+std::shared_ptr<const QueryResult::ItemList>
+QueryEngine::sortedSignatures(const std::vector<uint32_t> &Methods) const {
+  auto Items = std::make_shared<QueryResult::ItemList>();
+  Items->reserve(Methods.size());
+  for (uint32_t M : Methods)
+    Items->push_back(Data->Methods[M].Signature);
+  std::sort(Items->begin(), Items->end());
+  return Items;
+}
+
 QueryResult QueryEngine::devirt(const std::string &SiteIdx) const {
   QueryResult R;
   uint32_t S;
   if (!parseIndex(SiteIdx, Data->Sites.size(), S, "call-site", R.Error))
     return R;
   R.Ok = true;
-  for (uint32_t Callee : Data->Sites[S].Callees)
-    R.Items.push_back(Data->Methods[Callee].Signature);
-  std::sort(R.Items.begin(), R.Items.end());
+  R.setItems(sortedSignatures(Data->Sites[S].Callees));
   return R;
 }
 
@@ -435,9 +481,7 @@ QueryResult QueryEngine::callersOf(const std::string &Sig) const {
   R.Ok = true;
   if (auto Found = CallersByMethod.find(It->second);
       Found != CallersByMethod.end())
-    for (uint32_t M : Found->second)
-      R.Items.push_back(Data->Methods[M].Signature);
-  std::sort(R.Items.begin(), R.Items.end());
+    R.setItems(sortedSignatures(Found->second));
   return R;
 }
 
@@ -451,8 +495,6 @@ QueryResult QueryEngine::calleesOf(const std::string &Sig) const {
   R.Ok = true;
   if (auto Found = CalleesByMethod.find(It->second);
       Found != CalleesByMethod.end())
-    for (uint32_t M : Found->second)
-      R.Items.push_back(Data->Methods[M].Signature);
-  std::sort(R.Items.begin(), R.Items.end());
+    R.setItems(sortedSignatures(Found->second));
   return R;
 }

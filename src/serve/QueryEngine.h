@@ -24,8 +24,11 @@
 ///   method := signature               e.g. A.m/1
 ///
 /// Concurrency contract: the snapshot is immutable after construction;
-/// cache hits are acquire-loads of published entries plus one relaxed
-/// LRU-clock store; only inserts (misses) take the internal write mutex.
+/// each points-to set is rendered at most once per engine, published
+/// through a once-flag per set; cache hits are acquire-loads of
+/// published entries plus one relaxed LRU-clock store; only inserts
+/// (misses) take the internal write mutex. Answers are immutable and
+/// shared, so a hit copies a reference, not the items.
 /// Evicted entries are unlinked but retired rather than freed, so a
 /// reader holding a stale pointer can never observe a dangling entry;
 /// retired memory is reclaimed when the engine is destroyed. The retire
@@ -80,16 +83,30 @@ struct Query {
 /// Parses one textual query. \returns false with a diagnostic in \p Err.
 bool parseQuery(std::string_view Text, Query &Q, std::string &Err);
 
-/// The answer to one query.
+/// The answer to one query. A value type whose item list is an immutable,
+/// shared payload: copying a result (a cache hit, a cache insert, a
+/// caller keeping it) bumps a reference count and never copies strings,
+/// and a result stays valid after the engine that made it is gone.
 struct QueryResult {
+  using ItemList = std::vector<std::string>;
+
   bool Ok = false;
-  std::string Error;              ///< set when !Ok
-  std::vector<std::string> Items; ///< points-to / devirt / callers / callees
-  bool HasVerdict = false;        ///< alias / cast-may-fail carry a boolean
+  std::string Error;       ///< set when !Ok
+  bool HasVerdict = false; ///< alias / cast-may-fail carry a boolean
   bool Verdict = false;
+
+  /// Points-to / devirt / callers / callees / stats items; empty for
+  /// verdicts and errors.
+  const ItemList &items() const { return Items ? *Items : NoItems; }
+  /// Replaces the items with the shared list \p L.
+  void setItems(std::shared_ptr<const ItemList> L) { Items = std::move(L); }
 
   /// One-line rendering ("true", "false", or comma-joined items).
   std::string toString() const;
+
+private:
+  static const ItemList NoItems;
+  std::shared_ptr<const ItemList> Items;
 };
 
 /// Bounded concurrent query cache: open-addressed buckets of atomically
@@ -142,7 +159,8 @@ private:
 };
 
 /// A query session over one snapshot. Immutable after construction except
-/// for the internal cache; run() is safe to call from many threads.
+/// for the internal cache and the per-set renderings; run() is safe to
+/// call from many threads.
 class QueryEngine {
 public:
   explicit QueryEngine(std::shared_ptr<const SnapshotData> Data,
@@ -177,8 +195,23 @@ private:
 
   bool lookupVar(const std::string &VarKey, uint32_t &V,
                  std::string &Err) const;
+  /// The rendered labels of points-to set \p S (an index into
+  /// SnapshotData::PtsSets), made on first use and shared by every
+  /// variable and cached answer with that set.
+  std::shared_ptr<const QueryResult::ItemList>
+  renderedSet(uint32_t S) const;
+  /// The signatures of \p Methods, sorted.
+  std::shared_ptr<const QueryResult::ItemList>
+  sortedSignatures(const std::vector<uint32_t> &Methods) const;
+
+  /// One publish-once slot per PtsSets entry.
+  struct RenderedSet {
+    std::once_flag Once;
+    std::shared_ptr<const QueryResult::ItemList> Items;
+  };
 
   std::shared_ptr<const SnapshotData> Data;
+  std::unique_ptr<RenderedSet[]> Rendered;
   std::unordered_map<std::string, uint32_t> VarByKey;
   std::unordered_map<std::string, uint32_t> MethodBySig;
   /// Per method: sorted unique callee methods over its call sites, and

@@ -87,9 +87,10 @@ TEST(CSPreAnalysisFPG, SharperPreAnalysisSplitsSpuriousViolators) {
   EXPECT_NE(MRci.MOM[1], MRci.MOM[2]);
   EXPECT_NE(MRobj.MOM[1], MRobj.MOM[2]);
 
-  // The verdicts over the closed cache each heap modeler ran on.
+  // The verdicts over automata closed on the FPG each heap modeler ran on.
   auto SingleType = [](MahjongResult &MR, ObjId O) {
-    return DFAPartition(*MR.Cache).singleType(MR.Cache->startFor(O));
+    DFACache Cache(*MR.FPG);
+    return partitionSingleType(Cache, O);
   };
   EXPECT_FALSE(SingleType(MRci, ObjId(1)))
       << "ci: mixed-type field -> condition-2 violation";

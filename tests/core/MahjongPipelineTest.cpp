@@ -65,7 +65,7 @@ TEST(MahjongPipeline, PreAnalysisRunsTheChosenEngineAndBackend) {
     MahjongOptions Opts;
     Opts.PreEngine = Engine;
     MahjongResult MR = buildMahjongHeap(*P, CH, Opts);
-    EXPECT_EQ(MR.Pre->EngineName, solverEngineName(Engine));
+    EXPECT_EQ(MR.PreEngineName, solverEngineName(Engine));
     if (Reference.empty())
       Reference = MR.MOM;
     EXPECT_EQ(MR.MOM, Reference) << solverEngineName(Engine);

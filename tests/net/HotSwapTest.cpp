@@ -208,7 +208,7 @@ TEST(HotSwap, RegistryLevelPublishRaceStaysConsistent) {
         size_t Expect = Pin->digest() == DigestA  ? 2u
                         : Pin->digest() == DigestB ? 1u
                                                    : 0u;
-        if (!R.Ok || R.Items.size() != Expect)
+        if (!R.Ok || R.items().size() != Expect)
           Torn.fetch_add(1, std::memory_order_relaxed);
       }
     });

@@ -132,9 +132,9 @@ TEST(SnapshotRegistry, CachesAreEpochScopedNeverStaleAcrossSwap) {
   auto E1 = Reg.pin();
   serve::QueryResult R1 = E1->engine().run("points-to Main.main/0::x");
   ASSERT_TRUE(R1.Ok) << R1.Error;
-  ASSERT_EQ(R1.Items.size(), 2u);
+  ASSERT_EQ(R1.items().size(), 2u);
   // Run it again so the answer is definitely served from cache.
-  EXPECT_EQ(E1->engine().run("points-to Main.main/0::x").Items.size(), 2u);
+  EXPECT_EQ(E1->engine().run("points-to Main.main/0::x").items().size(), 2u);
   EXPECT_GE(E1->engine().cacheStats().Insertions, 1u);
 
   // Publish the one-object snapshot under the *same* query key.
@@ -144,8 +144,8 @@ TEST(SnapshotRegistry, CachesAreEpochScopedNeverStaleAcrossSwap) {
   ASSERT_TRUE(R2.Ok) << R2.Error;
   // The audit: epoch 2 must answer from its own snapshot, not epoch 1's
   // cache entry for the identical key.
-  EXPECT_EQ(R2.Items.size(), 1u);
+  EXPECT_EQ(R2.items().size(), 1u);
   // And the retired epoch still answers consistently for readers that
   // pinned it before the swap.
-  EXPECT_EQ(E1->engine().run("points-to Main.main/0::x").Items.size(), 2u);
+  EXPECT_EQ(E1->engine().run("points-to Main.main/0::x").items().size(), 2u);
 }

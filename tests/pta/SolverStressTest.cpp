@@ -107,6 +107,10 @@ TEST(SolverStress, WideReceiverFanOutDispatchesEverything) {
 }
 
 TEST(SolverStress, TimeBudgetProducesPartialButConsistentResult) {
+  // The solvers check the budget once every 8,192 worklist pops, so the
+  // program must need more pops than that, and the budget must already
+  // be spent at the first check.
+  constexpr uint64_t PopsPerBudgetCheck = 8192;
   workload::WorkloadSpec Spec;
   Spec.Modules = 30;
   auto P = workload::buildSyntheticProgram(Spec);
@@ -114,12 +118,17 @@ TEST(SolverStress, TimeBudgetProducesPartialButConsistentResult) {
   AnalysisOptions Opts;
   Opts.Kind = ContextKind::Object;
   Opts.K = 3;
-  Opts.TimeBudgetSeconds = 0.02; // far too little
+  auto Full = runPointerAnalysis(*P, CH, Opts);
+  ASSERT_FALSE(Full->Stats.TimedOut);
+  ASSERT_GT(Full->Stats.WorklistPops, PopsPerBudgetCheck);
+
+  Opts.TimeBudgetSeconds = 1e-9; // spent before the first check
   auto R = runPointerAnalysis(*P, CH, Opts);
-  if (!R->Stats.TimedOut)
-    GTEST_SKIP() << "machine too fast for this budget";
+  ASSERT_TRUE(R->Stats.TimedOut);
+  EXPECT_EQ(R->Stats.WorklistPops, PopsPerBudgetCheck);
   // The partial result must still be internally consistent.
   EXPECT_GT(R->Stats.NumReachableMethods, 0u);
+  EXPECT_LE(R->Stats.NumReachableMethods, Full->Stats.NumReachableMethods);
   EXPECT_EQ(R->Pts.size(), R->Nodes.size());
 }
 

@@ -149,6 +149,73 @@ TEST(ConcurrentQuery, ServerAnswersAreRaceFree) {
   EXPECT_EQ(Mismatches.load(), 0u);
 }
 
+TEST(ConcurrentQuery, FirstRenderOfSharedSetsIsRaceFree) {
+  // Groups of variables that all hold one points-to set: on a fresh
+  // engine every thread's first queries race to render the same sets,
+  // through different cache keys.
+  constexpr int Groups = 4, PerGroup = 16;
+  std::string Src = "class A { }\nclass Main {\n  static method main() {\n";
+  for (int G = 0; G < Groups; ++G) {
+    std::string Base = "g" + std::to_string(G);
+    Src += "    " + Base + " = new A;\n";
+    if (G % 2)
+      Src += "    " + Base + " = new A;\n"; // some sets hold two objects
+    for (int I = 0; I < PerGroup; ++I)
+      Src += "    " + Base + "_" + std::to_string(I) + " = " + Base + ";\n";
+  }
+  Src += "  }\n}\n";
+  Analyzed A = analyze(Src);
+  auto Data = std::make_shared<const SnapshotData>(buildSnapshot(*A.R));
+
+  std::vector<std::string> Texts;
+  for (int G = 0; G < Groups; ++G)
+    for (int I = 0; I < PerGroup; ++I)
+      Texts.push_back("points-to Main.main/0::g" + std::to_string(G) + "_" +
+                      std::to_string(I));
+  // Expected answers come from a separate engine, so the engine under
+  // test renders every set for the first time inside the race.
+  std::vector<std::string> Expected;
+  {
+    QueryEngine Reference(Data);
+    for (const std::string &T : Texts)
+      Expected.push_back(Reference.run(T).toString());
+  }
+  for (int G = 0; G < Groups; ++G) {
+    ASSERT_NE(Expected[G * PerGroup], "[]");
+    for (int I = 1; I < PerGroup; ++I)
+      ASSERT_EQ(Expected[G * PerGroup + I], Expected[G * PerGroup]);
+  }
+
+  for (int Round = 0; Round < 8; ++Round) {
+    QueryEngine E(Data);
+    std::atomic<unsigned> Ready{0};
+    std::atomic<uint64_t> Mismatches{0};
+    std::vector<std::thread> Threads;
+    for (unsigned T = 0; T < NumClients; ++T) {
+      Threads.emplace_back([&, T] {
+        Ready.fetch_add(1);
+        while (Ready.load() < NumClients) {
+        }
+        // Each thread walks the variables from its own offset, so first
+        // renders of one set start from different keys at once.
+        for (size_t I = 0; I < Texts.size(); ++I) {
+          size_t Pick = (I + T * PerGroup / 2 + T) % Texts.size();
+          if (E.run(Texts[Pick]).toString() != Expected[Pick])
+            Mismatches.fetch_add(1, std::memory_order_relaxed);
+        }
+      });
+    }
+    for (std::thread &Th : Threads)
+      Th.join();
+    EXPECT_EQ(Mismatches.load(), 0u) << "round " << Round;
+    // Every variable of a group shares its group's one rendering.
+    for (int G = 0; G < Groups; ++G)
+      for (int I = 1; I < PerGroup; ++I)
+        EXPECT_EQ(&E.run(Texts[G * PerGroup + I]).items(),
+                  &E.run(Texts[G * PerGroup]).items());
+  }
+}
+
 TEST(ConcurrentQuery, ManyEnginesShareOneSnapshot) {
   // The snapshot itself must tolerate concurrent readers through
   // independent engines (shared_ptr-shared immutable data).

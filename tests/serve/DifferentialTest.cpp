@@ -75,7 +75,7 @@ void checkProfile(const std::string &Name) {
       Expected.push_back(P->describeObj(ObjId(O)));
     QueryResult Got = E.run("points-to " + varKeyOf(*P, V));
     ASSERT_TRUE(Got.Ok) << Got.Error;
-    ASSERT_EQ(Got.Items, Expected) << Name << " var " << varKeyOf(*P, V);
+    ASSERT_EQ(Got.items(), Expected) << Name << " var " << varKeyOf(*P, V);
   }
 
   // --- Every cast site's verdict. ---
@@ -95,7 +95,7 @@ void checkProfile(const std::string &Name) {
     std::sort(Expected.begin(), Expected.end());
     QueryResult Got = E.run("devirt " + std::to_string(S));
     ASSERT_TRUE(Got.Ok) << Got.Error;
-    ASSERT_EQ(Got.Items, Expected) << Name << " site " << S;
+    ASSERT_EQ(Got.items(), Expected) << Name << " site " << S;
   }
 
   // --- Every method's callers and callees. ---
@@ -115,10 +115,10 @@ void checkProfile(const std::string &Name) {
     };
     QueryResult Got = E.run("callees " + Sig);
     ASSERT_TRUE(Got.Ok) << Got.Error;
-    ASSERT_EQ(Got.Items, AsVector(Callees[Sig])) << Name << " " << Sig;
+    ASSERT_EQ(Got.items(), AsVector(Callees[Sig])) << Name << " " << Sig;
     Got = E.run("callers " + Sig);
     ASSERT_TRUE(Got.Ok) << Got.Error;
-    ASSERT_EQ(Got.Items, AsVector(Callers[Sig])) << Name << " " << Sig;
+    ASSERT_EQ(Got.items(), AsVector(Callers[Sig])) << Name << " " << Sig;
   }
 
   // --- A deterministic sample of alias pairs (all pairs is quadratic). ---
